@@ -121,8 +121,8 @@ BENCHMARK(BM_ValoisPolicyForEach<hazard_policy>)->Name("BM_ValoisHazardForEach")
 BENCHMARK(BM_ValoisPolicyForEach<epoch_policy>)->Name("BM_ValoisEpochForEach");
 
 // Insert/erase-heavy dictionary mix (20f/40i/40e over a half-full key
-// space): exercises the batched find_from plus the SafeRead-cache
-// re-pin in try_insert/try_delete. Items = operations, not cells.
+// space): exercises the batched find_from plus the aux re-pin in
+// try_insert/try_delete. Items = operations, not cells.
 template <typename Policy>
 void BM_ValoisPolicyMutatorMix(benchmark::State& state) {
     using map_t = sorted_list_map<int, int, std::less<int>, Policy>;

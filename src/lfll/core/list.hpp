@@ -22,8 +22,9 @@
 //
 // A literal Fig. 5-7 hop under §5 counting costs ~6 RMWs: SafeRead the
 // aux (2), SafeRead the next cell (2), Release the old pre_cell and
-// pre_aux (2). The fast path cuts the steady state to ~1 critical RMW
-// per hop with three mechanisms (see DESIGN.md "Traversal fast path"):
+// pre_aux (2). The fast path cuts the steady state to ~2 RMWs per hop
+// (one protect, one Release) with these mechanisms (see DESIGN.md
+// "Traversal fast path"):
 //
 //  1. Aux reference elision. The cursor's pre_aux is demoted to an
 //     UNREFERENCED hint under every policy: hops read the aux through
@@ -34,8 +35,8 @@
 //     only decides fast-commit vs slow-path.
 //  2. Hand-over-hand reference transfer. next() re-uses the target's
 //     existing reference as the new pre_cell reference instead of the
-//     copy+drop pair, and the old pre_cell's decrement is batched via
-//     node_pool::drop_deferred.
+//     copy+drop pair; the old pre_cell's reference is released the
+//     moment the cursor leaves it (Fig. 16 Release).
 //  3. Software prefetch of the hop-after-next while the current hop's
 //     validation retires.
 //  4. Batched scan hops (trivially-copyable payloads only): scan()
@@ -48,20 +49,13 @@
 //     superhop drives the dictionaries' ordered seeks. The batch
 //     snapshot hands off into the ordinary referenced cursor at the
 //     landing cell — pre_cell and target are upgraded to counted
-//     references (cached_try_ref) and the WHOLE snapshot is re-swept so
+//     references (try_ref) and the WHOLE snapshot is re-swept so
 //     the references provably attached to the nodes the snapshot read —
 //     which keeps the Figs. 9-10 CAS windows reference-held exactly as
 //     if the cursor had walked hand-over-hand.
-//  6. A per-thread SafeRead cache (node_pool): cursor teardown and the
-//     aux-hint demotion DONATE their departing references
-//     (drop_to_cache) instead of releasing them; the next operation's
-//     anchor acquisitions (first/seek roots, the mutators' aux re-pin,
-//     the landing upgrade) go through cached_copy/cached_protect/
-//     cached_try_ref, which transfer a parked reference back for zero
-//     RMWs when the hot cell repeats.
 //
 // Mutators never trust the hint: try_insert/try_delete re-pin the
-// CURRENT aux via cached_protect(pre_cell->next) — the swing's
+// CURRENT aux via protect(pre_cell->next) — the swing's
 // CAS-expected target still detects staleness, exactly as in Figs.
 // 9-10.
 #pragma once
@@ -202,11 +196,8 @@ public:
         /// detached.
         void reset() noexcept {
             if (list_ == nullptr) return;
-            // Op-boundary anchors: the next operation on this list is
-            // likeliest to revisit exactly these cells, so the departing
-            // references park in the SafeRead cache instead of releasing.
-            list_->pool_->drop_to_cache(pre_cell_);
-            list_->pool_->drop_to_cache(target_);  // pre_aux_ is a hint: nothing to drop
+            list_->pool_->drop(pre_cell_);
+            list_->pool_->drop(target_);  // pre_aux_ is a hint: nothing to drop
             pre_cell_ = pre_aux_ = target_ = nullptr;
             guard_.reset();
         }
@@ -265,7 +256,7 @@ public:
         c.reset();
         c.list_ = this;
         c.guard_ = pool_->make_guard();
-        c.pre_cell_ = pool_->cached_copy(head_);  // root pointer never changes
+        c.pre_cell_ = pool_->copy(head_);  // root pointer never changes
         c.pre_aux_ = nullptr;
         c.target_ = nullptr;
         reposition(c);
@@ -274,7 +265,7 @@ public:
     /// Fig. 7: advances c one position. Returns false at end-of-list.
     /// Steady state under a counting policy is the fast path: one
     /// protect (on the next cell), the aux elided, the old pre_cell's
-    /// decrement deferred — ~1 critical RMW instead of the literal ~6.
+    /// reference released — ~2 RMWs instead of the literal ~6.
     bool next(cursor& c) {
         assert(c.list_ == this && c.target_ != nullptr);
         if (c.target_->is_tail()) return false;
@@ -284,7 +275,7 @@ public:
             node* aux = nullptr;
             if (node* n = hop_over_aux(c.target_, aux)) {
                 ctr.traverse_fast_hops++;
-                pool_->drop_deferred(c.pre_cell_);
+                pool_->drop(c.pre_cell_);
                 c.pre_cell_ = c.target_;  // hand-over-hand: the reference transfers
                 c.pre_aux_ = aux;
                 c.target_ = n;
@@ -293,7 +284,7 @@ public:
         }
         // Slow path (and the whole path under epochs, where protects are
         // plain loads): step onto the target and re-derive the position.
-        pool_->drop_deferred(c.pre_cell_);
+        pool_->drop(c.pre_cell_);
         c.pre_cell_ = c.target_;  // the target reference transfers too
         c.target_ = nullptr;
         reposition(c);
@@ -389,9 +380,7 @@ public:
         // an unreferenced hint and must not be CAS'd through. The swing's
         // expected == target still detects staleness — if pa is not the
         // aux before target, the CAS fails and the caller update()s.
-        // cached_protect: reposition parks this very aux, so the re-pin is
-        // usually a zero-RMW transfer of the parked reference.
-        node* pa = pool_->cached_protect(c.pre_cell_->next);
+        node* pa = pool_->protect(c.pre_cell_->next);
         if (pa == nullptr || !pa->is_aux()) {  // defensive: see reposition()
             pool_->drop(pa);
             instrument::tls().insert_retries++;
@@ -446,7 +435,7 @@ public:
         // aux is re-pinned from the ref'd pre_cell (the cursor's pre_aux_
         // is an unreferenced hint); the CAS expecting d detects staleness.
         node* n = pool_->protect(d->next);
-        node* pa = pool_->cached_protect(c.pre_cell_->next);
+        node* pa = pool_->protect(c.pre_cell_->next);
         if (pa == nullptr || !pa->is_aux() || !swing(pa->next, d, n)) {
             pool_->drop(pa);
             pool_->drop(n);
@@ -515,7 +504,7 @@ public:
         c.reset();
         c.list_ = this;
         c.guard_ = pool_->make_guard();
-        c.pre_cell_ = pool_->cached_copy(start);
+        c.pre_cell_ = pool_->copy(start);
         c.pre_aux_ = nullptr;
         c.target_ = nullptr;
         reposition(c);
@@ -527,7 +516,7 @@ public:
     /// cursor triple — use it for pure lookups; use cursors when the
     /// position will be mutated. Under counting policies the steady
     /// state is the cell-to-cell fast hop (one protect per cell, aux
-    /// elided, departures batched through drop_deferred); under epochs
+    /// elided, departures released as they go); under epochs
     /// every step is already a plain load. Fully concurrent-safe.
     template <typename Visit>
     void scan(Visit&& visit) {
@@ -537,7 +526,7 @@ public:
     }
 
     /// Stamped scan for the snapshot/range-query layer: identical
-    /// traversal engine (superhop, SafeRead cache, aux elision), but the
+    /// traversal engine (superhop, aux elision), but the
     /// visitor receives each cell's version stamps alongside the payload:
     ///   visit(const T&, uint64_t born_ts, uint64_t dead_ts) -> bool
     /// Batched segments surface the stamps captured inside the same
@@ -595,7 +584,7 @@ private:
                     const auto crossed = static_cast<std::uint64_t>(s.cells) + 1;
                     ctr.traverse_hops += crossed;
                     ctr.traverse_fast_hops += crossed;
-                    pool_->drop_deferred(p);
+                    pool_->drop(p);
                     for (int i = 0; i < s.cells; ++i) {
                         ctr.cells_traversed++;
                         const T& v = *std::launder(reinterpret_cast<const T*>(s.vals[i]));
@@ -622,7 +611,7 @@ private:
                     }
                 }
                 if (n == nullptr) n = pool_->protect(p->next);  // single step
-                pool_->drop_deferred(p);
+                pool_->drop(p);
             }
             if (n == nullptr || n->is_tail()) {
                 pool_->drop(n);
@@ -691,10 +680,7 @@ private:
             n = nn;
         }
         c.pre_aux_ = p;
-        // Demote to hint: the reference is not kept by the cursor. Parking
-        // it (drop_to_cache) keeps the hot aux takeable by the mutators'
-        // cached_protect re-pin — and, while parked, pins the hint itself.
-        pool_->drop_to_cache(p);
+        pool_->drop(p);  // demote to hint: the cursor keeps no reference
         c.target_ = n;
         if (node* nx = n->next.load(std::memory_order_relaxed)) {
             __builtin_prefetch(static_cast<const void*>(nx), 0, 1);
@@ -896,7 +882,7 @@ private:
     /// the first whose payload copy fails the predicate, and land the
     /// cursor there with the referenced-triple contract intact:
     ///   pre_cell <- the cell before the landing cell (upgraded to a
-    ///               counted reference via cached_try_ref);
+    ///               counted reference via try_ref);
     ///   pre_aux  <- the aux between them (unreferenced hint, as always);
     ///   target   <- the landing cell (upgraded likewise, or the already-
     ///               protected segment end).
@@ -908,7 +894,7 @@ private:
     /// a hand-over-hand walk would have produced — §5 counts balance
     /// because every reference the cursor ends up holding was acquired
     /// through try_ref/protect and every one it gives up goes through
-    /// drop_deferred. Any failure undoes the speculative references and
+    /// drop. Any failure undoes the speculative references and
     /// returns false; the caller falls back to the per-cell hop.
     template <typename Pred>
     bool batch_seek_step(cursor& c, Pred& pred) {
@@ -934,11 +920,11 @@ private:
             // from res — no triple handoff yet, hence no extra RMWs
             // (batch_commit's sweep already validated the segment). The
             // cursor's pre_cell_ deliberately goes STALE: it keeps its
-            // counted reference (parking a reference only delays
+            // counted reference (holding a reference only delays
             // reclamation), and the batch that terminates the seek — or
             // a fallback next() — re-anchors it before seek_while
             // returns, so callers never observe the stale triple.
-            pool_->drop_deferred(from);
+            pool_->drop(from);
             c.target_ = res;
             const auto span = static_cast<std::uint64_t>(s.cells) + 1;
             ctr.traverse_hops += span;
@@ -952,11 +938,11 @@ private:
         // Landing upgrade. from already carries the cursor's reference and
         // res the protect's; only interior landings need new ones.
         testing_hooks::chaos_point(sched::step_kind::batch_seek);
-        if (pre != from && !pool_->cached_try_ref(pre)) {
+        if (pre != from && !pool_->try_ref(pre)) {
             pool_->drop(res);
             return false;
         }
-        if (tgt != res && !pool_->cached_try_ref(tgt)) {
+        if (tgt != res && !pool_->try_ref(tgt)) {
             if (pre != from) pool_->unref(pre);
             pool_->drop(res);
             return false;
@@ -974,12 +960,12 @@ private:
             return false;
         }
         if (tgt != res) pool_->drop(res);  // segment end overshoots the landing
-        pool_->drop_deferred(c.pre_cell_);
+        pool_->drop(c.pre_cell_);
         if (pre == from) {
             c.pre_cell_ = from;  // the cursor's target reference transfers
         } else {
             c.pre_cell_ = pre;
-            pool_->drop_deferred(from);  // the old target reference departs
+            pool_->drop(from);  // the old target reference departs
         }
         c.pre_aux_ = hint;
         c.target_ = tgt;

@@ -15,8 +15,8 @@
 // individually (the lin-checker suite records batches exactly this way:
 // shared call window, per-op linearization point). Within a batch,
 // same-key ops take effect in submission order because the sort is
-// stable and the cursor lands ON the cell an insert links / an erase
-// tombstones.
+// stable; a repeated key re-seeks instead of resuming (see
+// sorted_list_map::apply_batch for why).
 #pragma once
 
 #include <cstddef>

@@ -227,7 +227,7 @@ public:
                 return false;
             }
             if (n->is_aux()) {  // shunt chain from an earlier splice
-                pool_.drop_deferred(parent_aux);
+                pool_.drop(parent_aux);
                 parent_aux = n;
                 continue;
             }
@@ -237,8 +237,8 @@ public:
             }
             tree_node* child =
                 cmp_(key, n->key()) ? pool_.protect(n->next) : pool_.protect(n->right);
-            pool_.drop_deferred(parent_aux);
-            pool_.drop_deferred(n);
+            pool_.drop(parent_aux);
+            pool_.drop(n);
             parent_aux = child;
         }
 
@@ -368,7 +368,7 @@ private:
             }
             if (n->is_aux()) {  // splice shunt chain: follow it
                 ctr.aux_hops++;
-                pool_.drop_deferred(a);
+                pool_.drop(a);
                 a = n;
                 continue;
             }
@@ -377,7 +377,7 @@ private:
                 if (out_parent != nullptr) {
                     *out_parent = a;
                 } else {
-                    pool_.drop_deferred(a);
+                    pool_.drop(a);
                 }
                 return n;
             }
@@ -391,8 +391,8 @@ private:
                     ctr.traverse_prefetches++;
                 }
             }
-            pool_.drop_deferred(a);
-            pool_.drop_deferred(n);
+            pool_.drop(a);
+            pool_.drop(n);
             a = child;
         }
     }
@@ -404,12 +404,12 @@ private:
         for (;;) {
             tree_node* n = pool_.protect(a->next);
             if (n == nullptr) return a;
-            pool_.drop_deferred(a);
+            pool_.drop(a);
             if (n->is_aux()) {
                 a = n;
             } else {
                 a = pool_.protect(n->next);  // descend left
-                pool_.drop_deferred(n);
+                pool_.drop(n);
             }
         }
     }
@@ -486,7 +486,7 @@ private:
                     std::vector<Key>& out) {
         while (p != nullptr && p->is_aux()) {  // shunt chains too
             tree_node* n = pool_.protect(p->next);
-            pool_.drop_deferred(p);
+            pool_.drop(p);
             p = n;
         }
         if (p == nullptr) return;
@@ -502,7 +502,7 @@ private:
         if (hi == nullptr || cmp_(k, *hi)) {  // right subtree may hold < hi
             visit_node(pool_.protect(p->right), lo, hi, t, out);
         }
-        pool_.drop_deferred(p);
+        pool_.drop(p);
     }
 
     void validate(tree_node* n, const Key*& prev, std::string& err, int depth) {

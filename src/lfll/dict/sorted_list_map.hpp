@@ -67,8 +67,8 @@ public:
 
     /// Shared/configured-pool constructor (mirrors valois_list's): the
     /// caller owns the pool and may tune it via pool_config — tests pin
-    /// the SafeRead-cache and deferred-release knobs this way. The pool
-    /// must outlive the map.
+    /// the pool size and magazine knobs this way. The pool must outlive
+    /// the map.
     explicit sorted_list_map(typename list_type::pool_type& shared_pool,
                              Compare cmp = Compare{})
         : list_(shared_pool), cmp_(cmp) {}
@@ -121,8 +121,11 @@ public:
     /// referenced landing cell (find_from never restarts at First).
     /// Results are written at each op's ORIGINAL index. Each sub-op keeps
     /// its individual linearization point (see batch.hpp); same-key ops
-    /// take effect in submission order because the sort is stable and
-    /// the cursor lands ON inserted cells / tombstoned victims.
+    /// take effect in submission order because the sort is stable. A
+    /// repeated key re-seeks from First: the previous sub-op may have
+    /// left the cursor on or past a tombstoned cell of that key, and a
+    /// concurrent insert links its live copy in front of such a cell,
+    /// where a resumed seek would never see it (duplicate insert).
     void apply_batch(const batch_op<Key, Value>* ops, std::size_t n,
                      batch_result<Value>* out) {
         if (n == 0) return;
@@ -133,8 +136,11 @@ public:
                              return cmp_(ops[a].key, ops[b].key);
                          });
         cursor c(list_);
+        const Key* prev_key = nullptr;
         for (std::uint32_t idx : order) {
             const batch_op<Key, Value>& op = ops[idx];
+            if (prev_key != nullptr && !cmp_(*prev_key, op.key)) c = cursor(list_);
+            prev_key = &op.key;
             // The cursor-resume handoff between sub-ops: a preemption here
             // lets concurrent mutators restructure the neighbourhood the
             // resumed seek starts from.

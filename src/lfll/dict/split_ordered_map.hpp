@@ -257,12 +257,19 @@ public:
         const std::size_t m = mask();
         cursor c;
         std::size_t run_bucket = ~std::size_t{0};
+        const Key* prev_key = nullptr;
         for (std::uint32_t idx : order) {
             const batch_op<Key, Value>& op = ops[idx];
             testing_hooks::chaos_point(sched::step_kind::batch_drain);
             const std::size_t b = hs[idx] & m;
-            if (b != run_bucket) {
-                anchor(hs[idx], c);  // new bucket run: jump to its dummy
+            // A repeated key re-anchors too, for the reason given at
+            // sorted_list_map::apply_batch (a resumed cursor can miss a
+            // live copy linked in front of a tombstoned one).
+            const bool repeat = prev_key != nullptr && !cmp_(*prev_key, op.key) &&
+                                !cmp_(op.key, *prev_key);
+            prev_key = &op.key;
+            if (b != run_bucket || repeat) {
+                anchor(hs[idx], c);  // jump to the bucket's dummy
                 run_bucket = b;
             }
             switch (op.kind) {

@@ -40,18 +40,8 @@ struct run_result {
 
 namespace detail {
 inline op_counters delta(const op_counters& before, const op_counters& after) {
-    op_counters d;
-    d.safe_reads = after.safe_reads - before.safe_reads;
-    d.saferead_retries = after.saferead_retries - before.saferead_retries;
-    d.cas_attempts = after.cas_attempts - before.cas_attempts;
-    d.cas_failures = after.cas_failures - before.cas_failures;
-    d.insert_retries = after.insert_retries - before.insert_retries;
-    d.delete_retries = after.delete_retries - before.delete_retries;
-    d.aux_hops = after.aux_hops - before.aux_hops;
-    d.aux_compactions = after.aux_compactions - before.aux_compactions;
-    d.cells_traversed = after.cells_traversed - before.cells_traversed;
-    d.nodes_allocated = after.nodes_allocated - before.nodes_allocated;
-    d.nodes_reclaimed = after.nodes_reclaimed - before.nodes_reclaimed;
+    op_counters d = after;
+    d -= before;
     return d;
 }
 }  // namespace detail

@@ -96,62 +96,6 @@
 //    mag_rounds pool ops). Magazines, like slabs, are never freed while
 //    the pool lives, so a stale depot pointer is always dereferenceable.
 //
-// --- Deferred-release batching (traversal fast path) --------------------
-//
-// Traversal hops under counting policies pay one Release per node left
-// behind. drop_deferred() batches those decrements: the pointer is
-// appended to a per-thread buffer (riding in the same registry record as
-// the magazine cache) and the real unref runs at flush. A buffered
-// decrement keeps the count elevated, so deferral can only DELAY
-// reclamation, never enable an early free — safety is by construction.
-// The costs are bounded: at most `release_backlog` nodes per thread
-// linger unreclaimed, and flushes run at the backlog cap, at thread
-// exit, at pool destruction, before alloc grows the arena (so a tiny
-// pool under pressure reclaims its own backlog instead of growing), and
-// at every quiescent audit/drain boundary (audit.hpp flushes first, so
-// the §5 count audits stay exact).
-//
-// Toggle: LFLL_DEFERRED_RELEASE CMake option (compile default), env var
-// (process), set_deferred_release_override() (A/B sweeps), and
-// pool_config::deferred_release per pool; LFLL_RELEASE_BACKLOG sets the
-// per-thread cap (default 64).
-//
-// --- Per-thread SafeRead cache (traversal fast path, counting policies) --
-//
-// Repeat visits to hot nodes — the list head, a hash bucket's dummy, the
-// neighborhood of a Zipf-hot key — pay one SafeRead RMW per visit even
-// though the same thread held a reference to the same node microseconds
-// ago. The SafeRead cache turns that round trip into a reference
-// *transfer*: drop_to_cache() parks a departing reference in a small
-// per-thread table (riding in the same registry record as the magazine
-// cache) instead of decrementing, and cached_copy()/cached_protect()/
-// cached_try_ref() take it back with a plain identity compare — zero
-// RMWs on a hit. Entries come in two states:
-//
-//  * referenced — the entry holds a live counted reference, donated by
-//    drop_to_cache(). The reference pins the node (its incarnation
-//    cannot move), so a take is: pointer compare, hand the reference
-//    over, done. The entry decays to a hint.
-//  * hint — the {node, incarnation} pair left behind by a take or a
-//    quiescent flush. A take revalidates with the try_ref + incarnation
-//    sandwich: try_ref refuses claimed nodes, and an unchanged
-//    incarnation across that RMW proves the node was never reclaimed
-//    since the hint was recorded (on_reclaim's bump is sequenced before
-//    refct_unclaim_to_one, and the refct RMW chain release-sequences the
-//    bump to us). Cost equals a plain ref — the hint never loses.
-//
-// Safety mirrors the deferred-release buffer: a parked reference only
-// DELAYS reclamation (never enables an early free), capacity bounds how
-// many nodes per thread linger, and every quiescent boundary that
-// flushes deferred buffers (audits, thread exit, pool teardown, alloc
-// pressure) also releases the cached references, so §5 count audits stay
-// exact. Capacity evictions release through the deferred-release buffer.
-//
-// Toggle: LFLL_SAFEREAD_CACHE CMake option / env var /
-// set_saferead_cache_override() / pool_config::saferead_cache;
-// LFLL_SAFEREAD_CACHE_SIZE and pool_config::saferead_cache_size set the
-// per-thread entry count (default 16, organized as 2-way sets).
-//
 // Node requirements (duck-typed; valois_list::node and the baselines'
 // nodes satisfy them):
 //    derives from Policy::header (provides std::atomic<refct_t> refct)
@@ -163,7 +107,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -220,117 +163,6 @@ inline bool magazine_default() noexcept {
     return env_default;
 }
 
-namespace detail {
-/// Process-wide deferred-release override, mirroring the magazine one.
-inline std::atomic<int>& deferred_release_override_flag() noexcept {
-    static std::atomic<int> v{-1};
-    return v;
-}
-}  // namespace detail
-
-/// Forces the deferred-release default for subsequently constructed pools
-/// (0 = off, 1 = on, -1 = back to the build/env default). Benches use
-/// this for in-process A/B sweeps; existing pools are unaffected.
-inline void set_deferred_release_override(int v) noexcept {
-    detail::deferred_release_override_flag().store(v < 0 ? -1 : (v != 0),
-                                                   std::memory_order_relaxed);
-}
-
-/// Default for pool_config::deferred_release: the LFLL_DEFERRED_RELEASE
-/// CMake option (compile-time), overridden by the LFLL_DEFERRED_RELEASE
-/// env var (0/1), and then by set_deferred_release_override().
-inline bool deferred_release_default() noexcept {
-    const int o =
-        detail::deferred_release_override_flag().load(std::memory_order_relaxed);
-    if (o >= 0) return o != 0;
-    static const bool env_default = [] {
-#if defined(LFLL_DEFERRED_RELEASE) && LFLL_DEFERRED_RELEASE == 0
-        bool on = false;
-#else
-        bool on = true;
-#endif
-        const char* e = std::getenv("LFLL_DEFERRED_RELEASE");
-        if (e != nullptr && e[0] != '\0') on = !(e[0] == '0' || e[0] == 'n' || e[0] == 'N');
-        return on;
-    }();
-    return env_default;
-}
-
-/// Default for pool_config::release_backlog: 64 buffered decrements per
-/// thread, overridden by the LFLL_RELEASE_BACKLOG env var.
-inline std::size_t release_backlog_default() noexcept {
-    static const std::size_t v = [] {
-        std::size_t n = 64;
-        const char* e = std::getenv("LFLL_RELEASE_BACKLOG");
-        if (e != nullptr && e[0] != '\0') {
-            const long parsed = std::strtol(e, nullptr, 10);
-            if (parsed > 0) n = static_cast<std::size_t>(parsed);
-        }
-        return n;
-    }();
-    return v;
-}
-
-namespace detail {
-/// Process-wide SafeRead-cache override, mirroring the magazine one.
-inline std::atomic<int>& saferead_cache_override_flag() noexcept {
-    static std::atomic<int> v{-1};
-    return v;
-}
-
-/// Nodes eligible for the SafeRead cache expose the recycle counter the
-/// hint revalidation keys on (list_node does; the baselines' plainer
-/// nodes do not, and simply never cache).
-template <typename N>
-concept node_with_incarnation = requires(const N& n) {
-    { n.incarnation.load(std::memory_order_relaxed) }
-        -> std::convertible_to<std::uint64_t>;
-};
-}  // namespace detail
-
-/// Forces the SafeRead-cache default for subsequently constructed pools
-/// (0 = off, 1 = on, -1 = back to the build/env default). Benches use
-/// this for in-process A/B sweeps; existing pools are unaffected.
-inline void set_saferead_cache_override(int v) noexcept {
-    detail::saferead_cache_override_flag().store(v < 0 ? -1 : (v != 0),
-                                                 std::memory_order_relaxed);
-}
-
-/// Default for pool_config::saferead_cache: the LFLL_SAFEREAD_CACHE CMake
-/// option (compile-time), overridden by the LFLL_SAFEREAD_CACHE env var
-/// (0/1), and then by set_saferead_cache_override().
-inline bool saferead_cache_default() noexcept {
-    const int o =
-        detail::saferead_cache_override_flag().load(std::memory_order_relaxed);
-    if (o >= 0) return o != 0;
-    static const bool env_default = [] {
-#if defined(LFLL_SAFEREAD_CACHE) && LFLL_SAFEREAD_CACHE == 0
-        bool on = false;
-#else
-        bool on = true;
-#endif
-        const char* e = std::getenv("LFLL_SAFEREAD_CACHE");
-        if (e != nullptr && e[0] != '\0') on = !(e[0] == '0' || e[0] == 'n' || e[0] == 'N');
-        return on;
-    }();
-    return env_default;
-}
-
-/// Default for pool_config::saferead_cache_size: 16 entries per thread,
-/// overridden by the LFLL_SAFEREAD_CACHE_SIZE env var.
-inline std::size_t saferead_cache_size_default() noexcept {
-    static const std::size_t v = [] {
-        std::size_t n = 16;
-        const char* e = std::getenv("LFLL_SAFEREAD_CACHE_SIZE");
-        if (e != nullptr && e[0] != '\0') {
-            const long parsed = std::strtol(e, nullptr, 10);
-            if (parsed > 0) n = static_cast<std::size_t>(parsed);
-        }
-        return n;
-    }();
-    return v;
-}
-
 /// Construction-time knobs for node_pool.
 struct pool_config {
     std::size_t initial_capacity = 1024;
@@ -339,20 +171,6 @@ struct pool_config {
     /// Node pointers per magazine; 0 = auto (scaled to initial_capacity,
     /// clamped to [8, 64] so small per-bucket pools keep small caches).
     std::size_t mag_rounds = 0;
-    /// -1 = deferred_release_default(), 0 = off, 1 = on. Only counting
-    /// policies buffer; under epochs drop() is free and this is ignored.
-    int deferred_release = -1;
-    /// Buffered decrements per thread before a forced flush; 0 = auto
-    /// (release_backlog_default(), normally 64).
-    std::size_t release_backlog = 0;
-    /// -1 = saferead_cache_default(), 0 = off, 1 = on. Only counting
-    /// policies (and nodes with an incarnation word) cache; elsewhere the
-    /// cached_* entry points degrade to their plain counterparts.
-    int saferead_cache = -1;
-    /// Per-thread SafeRead-cache entries; 0 = auto
-    /// (saferead_cache_size_default(), normally 16). Rounded up to the
-    /// 2-way set geometry (sets are a power of two).
-    std::size_t saferead_cache_size = 0;
 };
 
 template <typename Node, typename Policy = valois_refcount>
@@ -367,8 +185,8 @@ public:
 
     /// Whether traversal references hit the count word under this policy.
     /// Clients gate the counted-traversal fast paths (hand-over-hand ref
-    /// transfer, deferred release) on this: under epochs drop()/copy()
-    /// are free and the fast path would be a pessimization.
+    /// transfer, aux elision) on this: under epochs drop()/copy() are
+    /// free and the fast path would be a pessimization.
     static constexpr bool counts_traversal = Policy::counted_traversal;
 
     /// Creates a pool with `initial_capacity` pre-allocated nodes. The pool
@@ -381,20 +199,7 @@ public:
         : mag_on_(cfg.magazines < 0 ? magazine_default() : cfg.magazines != 0),
           mag_rounds_(cfg.mag_rounds != 0
                           ? cfg.mag_rounds
-                          : std::clamp<std::size_t>(cfg.initial_capacity / 4, 8, 64)),
-          dr_on_(policy_counts_traversal &&
-                 (cfg.deferred_release < 0 ? deferred_release_default()
-                                           : cfg.deferred_release != 0)),
-          dr_backlog_(cfg.release_backlog != 0 ? cfg.release_backlog
-                                               : release_backlog_default()),
-          sr_on_(sr_cacheable && (cfg.saferead_cache < 0
-                                      ? saferead_cache_default()
-                                      : cfg.saferead_cache != 0)),
-          sr_sets_(std::bit_ceil(std::max<std::size_t>(
-                       2, cfg.saferead_cache_size != 0
-                              ? cfg.saferead_cache_size
-                              : saferead_cache_size_default()) /
-                   2)) {
+                          : std::clamp<std::size_t>(cfg.initial_capacity / 4, 8, 64)) {
         // Health gauges, labelled by policy and shared by every pool under
         // that policy (last-sampled instance wins; see docs/telemetry.md).
         // Resolved once here so the sampling sites are a relaxed store.
@@ -407,11 +212,6 @@ public:
         g_mag_misses_ = &reg.get_counter("lfll_pool_magazine_misses_total", label);
         g_mag_flushes_ = &reg.get_counter("lfll_pool_magazine_flushes_total", label);
         g_mag_depot_ = &reg.get_gauge("lfll_pool_magazine_depot_full", label);
-        g_dr_releases_ = &reg.get_counter("lfll_deferred_releases_total", label);
-        g_dr_flushes_ = &reg.get_counter("lfll_deferred_release_flushes_total", label);
-        g_sr_hits_ = &reg.get_counter("lfll_saferead_cache_hits_total", label);
-        g_sr_misses_ = &reg.get_counter("lfll_saferead_cache_misses_total", label);
-        g_sr_evictions_ = &reg.get_counter("lfll_saferead_cache_evictions_total", label);
         g_backlog_->set(0);  // registered (and correct) even before any retire
         grow(cfg.initial_capacity == 0 ? 1 : cfg.initial_capacity);
     }
@@ -419,14 +219,11 @@ public:
     /// Flushes anything the policy still has banked back onto the free
     /// list (the reclaim callback touches pool internals, so this must
     /// complete before members die; domain_ is declared last and thus
-    /// destroyed first as a backstop). Deferred-release buffers flush
-    /// FIRST: a buffered decrement holds the count up, so the retire it
-    /// would trigger hasn't happened yet and the drain would miss it.
-    /// Magazines are flushed after the drain (the drain may land nodes in
-    /// this thread's magazines) and their registry records detached so
-    /// exiting threads skip the dead pool.
+    /// destroyed first as a backstop). Magazines are flushed after the
+    /// drain (the drain may land nodes in this thread's magazines) and
+    /// their registry records detached so exiting threads skip the dead
+    /// pool.
     ~node_pool() {
-        flush_all_deferred_releases();
         drain_retired();
         detach_caches();
         assert(domain_.retired_count() == 0 &&
@@ -450,7 +247,7 @@ public:
     Node* alloc() {
         instrument::tls().nodes_allocated++;
         // Sampled-op attribution: everything below — magazine hit or
-        // miss, free-list pop, deferred flush, grow — is alloc time.
+        // miss, free-list pop, grow — is alloc time.
         telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::alloc);
         for (;;) {
             if (mag_on_) {
@@ -460,19 +257,6 @@ public:
             }
             Node* q = free_list_read(free_head_);
             if (q == nullptr) {
-                // A deferred-release backlog (or a parked SafeRead-cache
-                // reference) can hold the only free nodes of a tiny pool
-                // captive; flush our own buffers before touching the
-                // arena.
-                if constexpr (policy_counts_traversal) {
-                    mag_cache* c = this_thread_cache();
-                    if (c->dcount > 0 || c->sr_live > 0) {
-                        testing_hooks::chaos_point(sched::step_kind::flush);
-                        flush_scache(*c);
-                        flush_deferred(*c);
-                        continue;
-                    }
-                }
                 // Reclaim pressure before growing: a deferred policy may
                 // have a long retire cascade banked (e.g. the queue's
                 // dummy chain, which frees strictly one node per pass).
@@ -581,192 +365,6 @@ public:
         }
     }
 
-    /// Drops a traversal reference, batching the decrement into this
-    /// thread's deferred-release buffer when batching is on. The buffered
-    /// entry IS the reference until flush, so deferral can only delay
-    /// reclamation, never cause an early free; the backlog cap bounds how
-    /// many nodes per thread linger. Traversal fast paths use this for
-    /// the node they just hopped off.
-    void drop_deferred(Node* p) {
-        if constexpr (policy_counts_traversal) {
-            if (p == nullptr) return;
-            if (!dr_on_) {
-                unref(p);
-                return;
-            }
-            mag_cache* c = this_thread_cache();
-            if (c->dbuf == nullptr) c->dbuf = std::make_unique<Node*[]>(dr_backlog_);
-            testing_hooks::chaos_point(sched::step_kind::deferred_release);
-            c->dbuf[c->dcount++] = p;
-            instrument::tls().deferred_releases++;
-            if (c->dcount >= dr_backlog_) {
-                telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::reclaim);
-                testing_hooks::chaos_point(sched::step_kind::flush);
-                flush_deferred(*c);
-            }
-        } else {
-            (void)p;
-        }
-    }
-
-    // --- per-thread SafeRead cache (traversal fast path) -------------------
-
-    /// As copy(), but a cache hit transfers a parked reference instead of
-    /// touching the count word. `p` must be live under the caller's usual
-    /// copy() contract (a counted link or reference the caller owns).
-    Node* cached_copy(Node* p) noexcept {
-        if constexpr (sr_cacheable) {
-            if (sr_on_ && p != nullptr) {
-                mag_cache* c = this_thread_cache();
-                if (sr_take(*c, p)) return p;
-            }
-        }
-        return copy(p);
-    }
-
-    /// As protect(), but a cache hit on the location's current value
-    /// transfers a parked reference: the reference predates the load, so
-    /// the postcondition ("the returned node was the location's value at
-    /// some instant during the call, and is unreclaimed while held") is
-    /// exactly SafeRead's.
-    Node* cached_protect(const std::atomic<Node*>& location) noexcept {
-        if constexpr (sr_cacheable) {
-            if (sr_on_) {
-                Node* q = location.load(std::memory_order_acquire);
-                if (q == nullptr) return nullptr;
-                mag_cache* c = this_thread_cache();
-                if (sr_take(*c, q)) return q;
-            }
-        }
-        return protect(location);
-    }
-
-    /// As try_ref(), but a cache hit transfers a parked reference (the
-    /// parked reference proves the node unclaimed — it pins the count).
-    /// The batched mutator seek uses this for its landing upgrade.
-    bool cached_try_ref(Node* p) noexcept {
-        if constexpr (sr_cacheable) {
-            if (sr_on_ && p != nullptr) {
-                mag_cache* c = this_thread_cache();
-                if (sr_take(*c, p)) return true;
-            }
-        }
-        return try_ref(p);
-    }
-
-    /// Drops a traversal reference by donating it to this thread's
-    /// SafeRead cache (falling back to drop_deferred when caching is off,
-    /// the node already has a parked reference, or eviction declines).
-    /// Like a buffered decrement, a parked reference can only DELAY
-    /// reclamation; capacity evictions release through the deferred-
-    /// release buffer. Traversal code calls this for op-boundary anchors
-    /// (cursor teardown, aux-hint demotion) — the nodes the next
-    /// operation is likeliest to revisit.
-    void drop_to_cache(Node* p) {
-        if constexpr (sr_cacheable) {
-            if (p == nullptr) return;
-            if (sr_on_) {
-                mag_cache* c = this_thread_cache();
-                if (sr_donate(*c, p)) return;  // the reference parks
-            }
-        }
-        drop_deferred(p);  // cache off / declined; no-op under epochs
-    }
-
-    /// Whether cached_*/drop_to_cache actually cache on this pool.
-    bool saferead_cache_enabled() const noexcept { return sr_on_; }
-
-    /// Per-thread SafeRead-cache entry capacity (2 ways per set).
-    std::size_t saferead_cache_capacity() const noexcept { return 2 * sr_sets_; }
-
-    /// This thread's currently parked reference count (test hook).
-    std::size_t saferead_cache_pending() {
-        if constexpr (sr_cacheable) {
-            return this_thread_cache()->sr_live;
-        } else {
-            return 0;
-        }
-    }
-
-    struct saferead_cache_counters {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-    };
-
-    /// This thread's cumulative take/donate tallies (test hook; the
-    /// telemetry registry rows aggregate the same numbers per policy).
-    saferead_cache_counters saferead_cache_stats() {
-        saferead_cache_counters out;
-        if constexpr (sr_cacheable) {
-            mag_cache* c = this_thread_cache();
-            out.hits = c->sr_hits;
-            out.misses = c->sr_misses;
-            out.evictions = c->sr_evictions;
-        }
-        return out;
-    }
-
-    /// Quiescent: releases every parked reference in THIS thread's cache
-    /// (entries decay to hints). Audits flush all threads via
-    /// flush_all_deferred_releases().
-    void flush_saferead_cache() {
-        if constexpr (sr_cacheable) {
-            mag_cache* c = this_thread_cache();
-            flush_scache(*c);
-        }
-    }
-
-    /// Flushes this thread's parked SafeRead-cache references and its
-    /// deferred-release buffer (runs the real decrements, which may
-    /// cascade reclamation). Both are the same thing to a caller waiting
-    /// on reclamation: decrements this thread still owes.
-    void flush_deferred_releases() {
-        if constexpr (policy_counts_traversal) {
-            mag_cache* c = this_thread_cache();
-            if (c->dcount > 0 || c->sr_live > 0) {
-                telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::reclaim);
-                testing_hooks::chaos_point(sched::step_kind::flush);
-                flush_scache(*c);
-                flush_deferred(*c);
-            }
-        }
-    }
-
-    /// Quiescent: flushes EVERY thread's deferred-release buffer and
-    /// SafeRead cache. Audits and the destructor run this so buffered
-    /// decrements and parked references cannot mask a leak or block
-    /// retirement. Only meaningful while no other thread is mutating the
-    /// pool.
-    void flush_all_deferred_releases() {
-        if constexpr (policy_counts_traversal) {
-            // Materialize this thread's record BEFORE locking: a flush
-            // cascade can reach mag_free -> this_thread_cache, which must
-            // not take the registry mutex we hold (it is not recursive).
-            (void)this_thread_cache();
-            std::lock_guard lk(registry_mutex());
-            for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
-                flush_scache(*c);
-                flush_deferred(*c);
-            }
-        }
-    }
-
-    /// Whether drop_deferred() actually buffers on this pool.
-    bool deferred_release_enabled() const noexcept { return dr_on_; }
-
-    /// Per-thread buffered-decrement cap.
-    std::size_t release_backlog_cap() const noexcept { return dr_backlog_; }
-
-    /// This thread's currently buffered decrement count (test hook).
-    std::size_t deferred_release_pending() {
-        if constexpr (policy_counts_traversal) {
-            return this_thread_cache()->dcount;
-        } else {
-            return 0;
-        }
-    }
-
     // --- legacy names (paper vocabulary; §5-faithful under the default
     // policy, where every reference is a counted reference) -----------------
 
@@ -843,18 +441,7 @@ public:
     /// to the global free list. Tests and A/B harnesses use it to compare
     /// the raw Fig. 17/18 path; the destructor runs it implicitly.
     void flush_magazines() {
-        // Own record first: reclaim cascades triggered below reach
-        // mag_free -> this_thread_cache, which must not lock the held
-        // registry mutex on a record miss.
-        (void)this_thread_cache();
         std::lock_guard lk(registry_mutex());
-        // Parked references and deferred buffers first, in a separate
-        // pass: their cascades can land nodes in this thread's magazines,
-        // which the second pass then flushes regardless of record order.
-        for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
-            flush_scache(*c);
-            flush_deferred(*c);
-        }
         for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
             flush_cache(*c);
         }
@@ -890,11 +477,6 @@ public:
 private:
     static constexpr bool policy_counts_traversal = Policy::counted_traversal;
 
-    /// The SafeRead cache only pays off where traversal references cost an
-    /// RMW, and its hint revalidation needs the node's recycle counter.
-    static constexpr bool sr_cacheable =
-        policy_counts_traversal && detail::node_with_incarnation<Node>;
-
     struct slab {
         std::unique_ptr<Node[]> nodes;
         std::size_t count;
@@ -915,21 +497,6 @@ private:
         std::unique_ptr<Node*[]> rounds;
     };
 
-    /// One SafeRead-cache way. Two states:
-    ///  - referenced (refd): the entry owns a parked counted reference to
-    ///    p; `inc` was read while referenced, so it is pinned — the node
-    ///    cannot be reclaimed (and the incarnation cannot move) until the
-    ///    reference leaves. A take transfers the reference for zero RMWs.
-    ///  - hint (!refd, after a take or a quiescent flush): no reference
-    ///    held; a take must try_ref and revalidate `inc` — same RMW cost
-    ///    as a plain acquisition, never worse.
-    struct sr_entry {
-        Node* p = nullptr;
-        std::uint64_t inc = 0;
-        std::uint64_t tick = 0;  ///< last touch (LRU within the set)
-        bool refd = false;
-    };
-
     /// Per-(thread, pool) magazine cache. Hot fields are owner-only while
     /// the pool lives; owner/next_record are serialized by
     /// registry_mutex(). hit/miss/flush tallies are folded into the
@@ -947,24 +514,6 @@ private:
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t flushes = 0;
-        /// Deferred-release buffer: each entry holds one counted reference
-        /// whose decrement is pending. Lazily sized to the backlog cap.
-        std::unique_ptr<Node*[]> dbuf;
-        std::uint32_t dcount = 0;
-        /// SafeRead cache: 2-way set-associative table of recently visited
-        /// nodes (see the header comment). Lazily sized to 2 * sr_sets_.
-        /// sr_hits/misses/evictions are cumulative (the per-thread test
-        /// hook reads them raw); the *_folded high-water marks track what
-        /// fold_stats() already pushed to the registry.
-        std::unique_ptr<sr_entry[]> scache;
-        std::uint64_t sr_tick = 0;
-        std::uint32_t sr_live = 0;  ///< entries currently holding a reference
-        std::uint64_t sr_hits = 0;
-        std::uint64_t sr_misses = 0;
-        std::uint64_t sr_evictions = 0;
-        std::uint64_t sr_hits_folded = 0;
-        std::uint64_t sr_misses_folded = 0;
-        std::uint64_t sr_evictions_folded = 0;
         node_pool* owner = nullptr;
         mag_cache* next_record = nullptr;
 
@@ -1205,29 +754,10 @@ private:
         for (std::size_t i = 0; i < n; ++i) f(*mag_at(static_cast<std::int32_t>(i)));
     }
 
-    /// Runs a buffer's pending decrements. No chaos point here: callers
-    /// under registry_mutex() must not yield to a serialized sched
-    /// session (the hot-path call sites annotate instead). The count is
-    /// dropped BEFORE each unref so a hypothetical re-entrant append
-    /// lands after the live region instead of replaying an entry.
-    void flush_deferred(mag_cache& c) {
-        if (c.dcount == 0) return;
-        g_dr_releases_->add(c.dcount);
-        g_dr_flushes_->add(1);
-        instrument::tls().deferred_flushes++;
-        while (c.dcount > 0) {
-            unref(c.dbuf[--c.dcount]);
-        }
-    }
-
     /// Quiescent: returns a cache's nodes to the global free list, its
     /// magazines to the empty depot, and folds its stat tallies. Caller
-    /// holds registry_mutex(); the deferred flush's reclaim cascade
-    /// can land nodes back in THIS thread's magazines, which is why the
-    /// pool-wide walkers flush every buffer before flushing magazines.
+    /// holds registry_mutex().
     void flush_cache(mag_cache& c) {
-        flush_scache(c);
-        flush_deferred(c);
         for (magazine** slot : {&c.active, &c.prev}) {
             magazine* m = *slot;
             if (m == nullptr) continue;
@@ -1264,11 +794,7 @@ private:
     /// this pool (their owning threads delete them at thread exit), and
     /// empty the depot so no node dies inside a magazine.
     void detach_caches() {
-        (void)this_thread_cache();  // see flush_magazines
         std::lock_guard lk(registry_mutex());
-        for (mag_cache* c = cache_records_; c != nullptr; c = c->next_record) {
-            flush_deferred(*c);  // normally empty (dtor flushed already)
-        }
         for (mag_cache* c = cache_records_; c != nullptr;) {
             mag_cache* next = c->next_record;
             flush_cache(*c);
@@ -1307,153 +833,7 @@ private:
             g_mag_flushes_->add(c.flushes);
             c.flushes = 0;
         }
-        if (c.sr_hits != c.sr_hits_folded) {
-            g_sr_hits_->add(c.sr_hits - c.sr_hits_folded);
-            c.sr_hits_folded = c.sr_hits;
-        }
-        if (c.sr_misses != c.sr_misses_folded) {
-            g_sr_misses_->add(c.sr_misses - c.sr_misses_folded);
-            c.sr_misses_folded = c.sr_misses;
-        }
-        if (c.sr_evictions != c.sr_evictions_folded) {
-            g_sr_evictions_->add(c.sr_evictions - c.sr_evictions_folded);
-            c.sr_evictions_folded = c.sr_evictions;
-        }
         g_mag_depot_->set(depot_full_count_.load(std::memory_order_relaxed));
-    }
-
-    // --- SafeRead cache internals ------------------------------------------
-
-    /// Set index for a node: cell-granular bits of the address (nodes are
-    /// cacheline-ish sized slab slots, so >>6 strips the intra-node bits;
-    /// the ^(>>9) fold keeps neighbouring slab slots from all landing in
-    /// one set).
-    std::size_t sr_set(const Node* p) const noexcept {
-        const auto u = reinterpret_cast<std::uintptr_t>(p);
-        return ((u >> 6) ^ (u >> 9)) & (sr_sets_ - 1);
-    }
-
-    /// Victim preference within a set: an empty way is free, overwriting a
-    /// hint loses nothing, and only as a last resort does an LRU parked
-    /// reference get evicted. Ties break to the older tick.
-    static bool sr_cheaper_victim(const sr_entry& a, const sr_entry& b) noexcept {
-        const int ca = a.p == nullptr ? 0 : (a.refd ? 2 : 1);
-        const int cb = b.p == nullptr ? 0 : (b.refd ? 2 : 1);
-        if (ca != cb) return ca < cb;
-        return a.tick < b.tick;
-    }
-
-    /// Tries to satisfy a reference acquisition on `p` from this thread's
-    /// cache. Identity is the CALLER's problem: `p` must be the value just
-    /// loaded from a live location (cached_protect) or a reference the
-    /// caller already protects (cached_copy) — the cache only supplies the
-    /// reference, never the pointer. On a referenced hit the parked
-    /// reference transfers to the caller with zero RMWs and the entry
-    /// decays to a hint; on a hint hit the cost equals a plain try_ref
-    /// plus an incarnation sandwich that rejects nodes recycled since the
-    /// hint was recorded.
-    bool sr_take(mag_cache& c, Node* p) {
-        if (c.scache != nullptr) {
-            sr_entry* set = &c.scache[2 * sr_set(p)];
-            for (int w = 0; w < 2; ++w) {
-                sr_entry& e = set[w];
-                if (e.p != p) continue;
-                if (e.refd) {
-                    // Transfer the parked reference. The count word is not
-                    // touched; the reference predates the caller's load, so
-                    // SafeRead's postcondition holds a fortiori.
-                    testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                    e.refd = false;
-                    c.sr_live--;
-                    e.tick = ++c.sr_tick;
-                    c.sr_hits++;
-                    return true;
-                }
-                // Hint: acquire a real reference, then prove the node was
-                // never reclaimed since the hint was recorded. try_ref can
-                // bless a RECYCLED node (dead, reclaimed, re-allocated —
-                // count live again); the incarnation bump in on_reclaim()
-                // is sequenced before the refct release that a successful
-                // try_ref synchronizes with, so an unchanged incarnation
-                // here rules that interleaving out.
-                testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                if (!try_ref(p)) break;
-                if (p->incarnation.load(std::memory_order_acquire) != e.inc) {
-                    // Recycled since hinted: undo with a FULL unref — the
-                    // node may be dying right now, and a blind fetch_sub
-                    // could strand the claim.
-                    testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                    unref(p);
-                    e.p = nullptr;
-                    break;
-                }
-                e.tick = ++c.sr_tick;
-                c.sr_hits++;
-                return true;
-            }
-        }
-        c.sr_misses++;
-        return false;
-    }
-
-    /// Parks a counted reference to `p` that the caller owns and is giving
-    /// up. Returns true when the cache adopted the reference (the caller
-    /// must NOT release it), false when the node already has one parked
-    /// (the caller keeps releasing its own copy). A set with no cheaper
-    /// way evicts its LRU parked reference through the deferred-release
-    /// buffer, like any departing hop reference.
-    bool sr_donate(mag_cache& c, Node* p) {
-        if (c.scache == nullptr) c.scache = std::make_unique<sr_entry[]>(2 * sr_sets_);
-        sr_entry* set = &c.scache[2 * sr_set(p)];
-        sr_entry* v = &set[0];
-        for (int w = 0; w < 2; ++w) {
-            sr_entry& e = set[w];
-            if (e.p == p) {
-                if (e.refd) return false;  // one parked reference per node
-                // Hint upgrade: adopt the reference and re-pin the
-                // incarnation (our reference makes the read stable — a
-                // stale hint is simply refreshed).
-                testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-                e.inc = p->incarnation.load(std::memory_order_acquire);
-                e.refd = true;
-                e.tick = ++c.sr_tick;
-                c.sr_live++;
-                return true;
-            }
-            if (sr_cheaper_victim(e, *v)) v = &e;
-        }
-        if (v->refd) {
-            testing_hooks::chaos_point(sched::step_kind::safe_read_cache);
-            Node* old = v->p;
-            v->p = nullptr;
-            v->refd = false;
-            c.sr_live--;
-            c.sr_evictions++;
-            drop_deferred(old);
-        }
-        v->p = p;
-        v->inc = p->incarnation.load(std::memory_order_acquire);
-        v->refd = true;
-        v->tick = ++c.sr_tick;
-        c.sr_live++;
-        return true;
-    }
-
-    /// Releases every parked reference in a cache; entries decay to hints
-    /// (still takeable via revalidation). No chaos points: the pool-wide
-    /// callers hold registry_mutex() and must not yield to a serialized
-    /// sched session. Safe on caches whose policy never caches (sr_live
-    /// stays 0).
-    void flush_scache(mag_cache& c) {
-        if (c.sr_live == 0) return;
-        const std::size_t n = 2 * sr_sets_;
-        for (std::size_t i = 0; i < n && c.sr_live > 0; ++i) {
-            sr_entry& e = c.scache[i];
-            if (!e.refd) continue;
-            e.refd = false;
-            c.sr_live--;
-            unref(e.p);
-        }
     }
 
     // --- global free list (Figs. 17-18) -----------------------------------
@@ -1608,17 +988,8 @@ private:
     telemetry::counter* g_mag_misses_ = nullptr;
     telemetry::counter* g_mag_flushes_ = nullptr;
     telemetry::gauge* g_mag_depot_ = nullptr;
-    telemetry::counter* g_dr_releases_ = nullptr;
-    telemetry::counter* g_dr_flushes_ = nullptr;
-    telemetry::counter* g_sr_hits_ = nullptr;
-    telemetry::counter* g_sr_misses_ = nullptr;
-    telemetry::counter* g_sr_evictions_ = nullptr;
     const bool mag_on_;
     const std::size_t mag_rounds_;
-    const bool dr_on_;
-    const std::size_t dr_backlog_;
-    const bool sr_on_;
-    const std::size_t sr_sets_;
     const std::uint64_t pool_id_ = next_policy_domain_id();
     // Contended heads each own a cache line (free_head_ is hammered by the
     // magazine-off path and overflows; the depot heads by magazine

@@ -25,6 +25,26 @@ op_counters& op_counters::operator+=(const op_counters& o) noexcept {
     return *this;
 }
 
+op_counters& op_counters::operator-=(const op_counters& o) noexcept {
+    safe_reads -= o.safe_reads;
+    saferead_retries -= o.saferead_retries;
+    cas_attempts -= o.cas_attempts;
+    cas_failures -= o.cas_failures;
+    insert_retries -= o.insert_retries;
+    delete_retries -= o.delete_retries;
+    aux_hops -= o.aux_hops;
+    aux_compactions -= o.aux_compactions;
+    cells_traversed -= o.cells_traversed;
+    nodes_allocated -= o.nodes_allocated;
+    nodes_reclaimed -= o.nodes_reclaimed;
+    traverse_hops -= o.traverse_hops;
+    traverse_fast_hops -= o.traverse_fast_hops;
+    traverse_prefetches -= o.traverse_prefetches;
+    deferred_releases -= o.deferred_releases;
+    deferred_flushes -= o.deferred_flushes;
+    return *this;
+}
+
 op_counters op_counters_tls::read() const noexcept {
     op_counters v;
     v.safe_reads = safe_reads.load();
@@ -41,8 +61,6 @@ op_counters op_counters_tls::read() const noexcept {
     v.traverse_hops = traverse_hops.load();
     v.traverse_fast_hops = traverse_fast_hops.load();
     v.traverse_prefetches = traverse_prefetches.load();
-    v.deferred_releases = deferred_releases.load();
-    v.deferred_flushes = deferred_flushes.load();
     return v;
 }
 
@@ -61,8 +79,6 @@ void op_counters_tls::clear() noexcept {
     traverse_hops.clear();
     traverse_fast_hops.clear();
     traverse_prefetches.clear();
-    deferred_releases.clear();
-    deferred_flushes.clear();
 }
 
 namespace instrument {

@@ -64,14 +64,17 @@ struct op_counters {
     std::uint64_t traverse_hops = 0;       ///< cursor hops (fast or slow)
     std::uint64_t traverse_fast_hops = 0;  ///< hops that took the elided-aux fast path
     std::uint64_t traverse_prefetches = 0; ///< next->next software prefetches issued
-    std::uint64_t deferred_releases = 0;   ///< decrements buffered by drop_deferred
-    std::uint64_t deferred_flushes = 0;    ///< deferred-release buffer flushes
+    /// Always 0: traversal references are released on the spot. Kept
+    /// so the struct layout the repository benchmark checks is unchanged.
+    std::uint64_t deferred_releases = 0;
+    std::uint64_t deferred_flushes = 0;  ///< always 0, as above
 
     op_counters& operator+=(const op_counters& o) noexcept;
+    op_counters& operator-=(const op_counters& o) noexcept;
 };
 
-/// The per-thread mutable counters (same field names as op_counters, but
-/// each field is a single-writer atomic cell).
+/// The per-thread mutable counters (the live op_counters fields, each a
+/// single-writer atomic cell).
 struct op_counters_tls {
     owned_counter_cell safe_reads;
     owned_counter_cell saferead_retries;
@@ -87,8 +90,6 @@ struct op_counters_tls {
     owned_counter_cell traverse_hops;
     owned_counter_cell traverse_fast_hops;
     owned_counter_cell traverse_prefetches;
-    owned_counter_cell deferred_releases;
-    owned_counter_cell deferred_flushes;
 
     /// Relaxed read of every cell into a plain value.
     op_counters read() const noexcept;

@@ -12,7 +12,9 @@
 //     mid-batch must only cost re-anchors, never a wrong result;
 //   * two batches racing each other (drain-vs-drain) over one key range,
 //     where each batch's insert hands its cursor the freshly linked
-//     cell (land_on_inserted) while the other batch tombstones it.
+//     cell (land_on_inserted) while the other batch tombstones it;
+//   * batches that repeat a key racing each other: a repeated key must
+//     never leave two live copies in the map.
 //
 // Pinned seeds replay fixed schedules through the deterministic
 // scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>.
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -29,6 +32,7 @@
 #include "lfll/core/audit.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/dict/split_ordered_map.hpp"
+#include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
 #include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
@@ -60,7 +64,9 @@ void run_checked_batch(Map& m, int lo, int hi, int stable_step,
         const int k = ops[i].key;
         if (k % stable_step == 0) {
             EXPECT_TRUE(out[i].ok) << "stable key " << k << " lost, seed " << seed;
-            if (out[i].ok) EXPECT_EQ(out[i].value, std::optional<int>(100 + k));
+            if (out[i].ok) {
+                EXPECT_EQ(out[i].value, std::optional<int>(100 + k));
+            }
         } else if (out[i].ok) {
             EXPECT_EQ(out[i].value, std::optional<int>(200 + k))
                 << "churned key " << k << " carries a value nobody wrote, seed "
@@ -95,7 +101,6 @@ void run_drain_vs_erase(std::uint64_t seed) {
     EXPECT_GT(sched::scheduler::instance().kind_count(sched::step_kind::batch_drain),
               0u)
         << "schedule never entered a cursor-resume window, seed " << seed;
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     const audit_report r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
@@ -150,7 +155,6 @@ void run_drain_vs_drain(std::uint64_t seed) {
     });
     EXPECT_EQ(balance, odd_live) << "seed " << seed;
     EXPECT_EQ(map.size_slow(), static_cast<std::size_t>(4 + odd_live));
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     const audit_report r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
@@ -191,7 +195,6 @@ void run_drain_vs_resize(std::uint64_t seed) {
         << "schedule never entered a batch window, seed " << seed;
     for (int k = 100; k < 110; ++k) map.erase(k);
     EXPECT_EQ(map.size_slow(), 4u);
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     std::map<const typename map_t::node*, std::size_t> external;
     map.for_each_bucket_slot(
@@ -199,6 +202,47 @@ void run_drain_vs_resize(std::uint64_t seed) {
     const audit_report r = audit_list(map.list(), external);
     EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
                       << " — replay with LFLL_SCHED_REPLAY=" << seed;
+}
+
+/// Repeated keys: three threads each apply four 3-op batches of random
+/// get/insert/erase over keys 0..2, so most batches repeat a key. After
+/// every batch, no key may have more than one live cell. A resumed seek
+/// for a repeated key used to start on or past a tombstoned cell of that
+/// key and miss the live copy a concurrent insert linked in front of it,
+/// inserting a duplicate.
+void run_repeated_keys(std::uint64_t seed) {
+    sorted_list_map<int, int> map(32);
+    int worst = 0;
+    auto copies = [&map](int key) {
+        int n = 0;
+        map.for_each([&](const int& k, const int&) { n += k == key; });
+        return n;
+    };
+    std::vector<std::function<void()>> bodies;
+    for (int t = 0; t < 3; ++t) {
+        bodies.push_back([&, t] {
+            xorshift64 rng(seed * 977 + static_cast<std::uint64_t>(t) * 7 + 1);
+            for (int i = 0; i < 4; ++i) {
+                std::vector<batch_op<int, int>> ops;
+                for (int j = 0; j < 3; ++j) {
+                    const batch_op_kind kinds[] = {batch_op_kind::insert, batch_op_kind::erase,
+                                                   batch_op_kind::get};
+                    const batch_op_kind kind = kinds[rng.next() % 3];
+                    ops.push_back({kind, static_cast<int>(rng.next_below(3)), 1});
+                }
+                std::vector<batch_result<int>> out(ops.size());
+                map.apply_batch(ops.data(), ops.size(), out.data());
+                for (int k = 0; k < 3; ++k) worst = std::max(worst, copies(k));
+            }
+        });
+    }
+    sched::run(pinned(seed), std::move(bodies));
+    EXPECT_LE(worst, 1) << "duplicate live key, seed " << seed
+                        << " — replay with LFLL_SCHED_REPLAY=" << seed;
+}
+
+TEST(BatchSched, PinnedSeed_RepeatedKeysNeverDuplicate) {
+    for (std::uint64_t seed : {49ull, 66ull, 205ull}) run_repeated_keys(seed);
 }
 
 TEST(BatchSched, PinnedSeed_DrainVsErase_Refcount) {

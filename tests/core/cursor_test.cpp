@@ -171,10 +171,7 @@ TEST(Cursor, DestructionReleasesPinnedDeletedCell) {
         // list yet.
         EXPECT_LT(list.pool().free_count(), free_at_start + 2);
     }
-    // All cursors gone: after flushing this thread's deferred-release
-    // buffer (traversal drops may still be batched there), the deleted
-    // cell and its aux node are reclaimed.
-    list.pool().flush_deferred_releases();
+    // All cursors gone: the deleted cell and its aux node are reclaimed.
     EXPECT_EQ(list.pool().free_count(), free_at_start + 2);
     auto r = lfll::audit_list(list);
     EXPECT_TRUE(r.ok) << r.error;

@@ -1,24 +1,16 @@
 // Scheduler coverage for the batched mutator seek (seek_while /
-// batch_seek_step, step_kind::batch_seek) and the per-thread SafeRead
-// cache (step_kind::safe_read_cache), across all three reclamation
-// policies. The two windows under test:
-//
-//   * batch-snapshot -> referenced-cursor handoff: batch_seek_step has
-//     snapshotted a segment and is about to try_ref the landing pre/
-//     target cells; a preemption there lets churners recycle snapshot
-//     nodes, and the post-ref incarnation re-sweep must catch it (a
-//     missed catch surfaces as a count-audit imbalance or a cursor on
-//     a recycled cell).
-//   * cache-hit-on-recycled-cell: sr_take is about to revalidate a hint
-//     entry (try_ref + incarnation sandwich); a preemption lets a
-//     deleter recycle the cached cell, bumping its incarnation, and the
-//     take must back out (full unref) rather than hand a stale cell to
-//     the cursor.
+// batch_seek_step, step_kind::batch_seek) across all three reclamation
+// policies. The window under test is the batch-snapshot ->
+// referenced-cursor handoff: batch_seek_step has snapshotted a segment
+// and is about to try_ref the landing pre/target cells; a preemption
+// there lets churners recycle snapshot nodes, and the post-ref
+// incarnation re-sweep must catch it (a missed catch surfaces as a
+// count-audit imbalance or a cursor on a recycled cell).
 //
 // Pinned seeds replay fixed schedules through the deterministic
 // scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>. Under
-// epoch_policy both mechanisms compile out (counted_traversal false);
-// the same bodies must still run clean, with zero window entries.
+// epoch_policy the superhop compiles out (counted_traversal false); the
+// same bodies must still run clean, with zero window entries.
 #define LFLL_SCHED_CHAOS 1
 
 #include <gtest/gtest.h>
@@ -50,9 +42,9 @@ sched::options pinned(std::uint64_t seed) {
 }
 
 /// Cursor-based lookup through the batched mutator seek. map::find()
-/// rides scan() and never enters batch_seek_step or the SafeRead
-/// cache; both chaos windows live on the find_from path, so the
-/// seeker/reader bodies must drive it directly.
+/// rides scan() and never enters batch_seek_step; the chaos window
+/// lives on the find_from path, so the seeker body must drive it
+/// directly.
 template <typename Map>
 std::optional<int> seek_find(Map& map, int key) {
     typename Map::cursor c(map.list());
@@ -60,12 +52,10 @@ std::optional<int> seek_find(Map& map, int key) {
     return (*c).second;
 }
 
-/// Drain every thread-local buffer the policies keep (deferred
-/// decrements, parked cache references, retired nodes) so the §5 audit
-/// sees a quiescent structure.
+/// Drain the policy's retired nodes so the §5 audit sees a quiescent
+/// structure.
 template <typename Map>
 audit_report quiesce_and_audit(Map& map) {
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     return audit_list(map.list());
 }
@@ -114,55 +104,6 @@ void run_handoff_window(std::uint64_t seed) {
                       << " — replay with LFLL_SCHED_REPLAY=" << seed;
 }
 
-/// Recycled-cache-hit window: a reader re-finds the same hot keys (its
-/// cursor resets park the cells in the SafeRead cache, the next find
-/// takes them back) while a churner erases and reinserts exactly those
-/// keys, recycling the cached cells and bumping their incarnations.
-template <typename Policy>
-void run_recycled_cache_hit_window(std::uint64_t seed) {
-    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
-    pool_config cfg;
-    cfg.initial_capacity = 16;  // erased cells come straight back
-    cfg.saferead_cache = 1;     // force on, whatever the env says
-    cfg.saferead_cache_size = 8;
-    typename map_t::list_type::pool_type pool(cfg);
-    map_t map(pool);
-    for (int k = 0; k < 4; ++k) map.insert(k, 200 + k);
-    std::vector<std::function<void()>> bodies;
-    bodies.push_back([&map] {  // reader: hot repeat visits
-        for (int round = 0; round < 6; ++round) {
-            for (int k = 0; k < 4; ++k) {
-                auto v = seek_find(map, k);
-                if (v) {
-                    EXPECT_GE(*v, 200);
-                    EXPECT_LE(*v, 220);
-                }
-            }
-        }
-    });
-    bodies.push_back([&map] {  // churner: recycle the cached cells
-        for (int i = 0; i < 5; ++i) {
-            const int k = i % 4;
-            map.erase(k);
-            map.insert(k, 210 + k);
-        }
-    });
-    sched::run(pinned(seed), std::move(bodies));
-    if constexpr (map_t::list_type::pool_type::counts_traversal) {
-        EXPECT_GT(
-            sched::scheduler::instance().kind_count(sched::step_kind::safe_read_cache),
-            0u)
-            << "schedule never entered a cache take/donate window, seed " << seed;
-    } else {
-        EXPECT_EQ(
-            sched::scheduler::instance().kind_count(sched::step_kind::safe_read_cache),
-            0u);
-    }
-    auto r = quiesce_and_audit(map);
-    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
-                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
-}
-
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Refcount) {
     for (std::uint64_t seed : {3ull, 8ull, 17ull, 29ull, 41ull, 56ull}) {
         run_handoff_window<valois_refcount>(seed);
@@ -178,24 +119,6 @@ TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Hazard) {
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_EpochCompilesOut) {
     for (std::uint64_t seed : {4ull, 9ull}) {
         run_handoff_window<epoch_policy>(seed);
-    }
-}
-
-TEST(MutatorSeekSched, PinnedSeed_RecycledCacheHit_Refcount) {
-    for (std::uint64_t seed : {2ull, 7ull, 13ull, 23ull, 37ull, 61ull}) {
-        run_recycled_cache_hit_window<valois_refcount>(seed);
-    }
-}
-
-TEST(MutatorSeekSched, PinnedSeed_RecycledCacheHit_Hazard) {
-    for (std::uint64_t seed : {6ull, 11ull, 19ull, 31ull}) {
-        run_recycled_cache_hit_window<hazard_policy>(seed);
-    }
-}
-
-TEST(MutatorSeekSched, PinnedSeed_RecycledCacheHit_EpochCompilesOut) {
-    for (std::uint64_t seed : {10ull, 15ull}) {
-        run_recycled_cache_hit_window<epoch_policy>(seed);
     }
 }
 

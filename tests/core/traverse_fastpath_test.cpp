@@ -1,10 +1,8 @@
 // Scheduler coverage for the traversal fast-path engine: the elided-aux
-// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer), the
-// deferred-release buffer (step_kind::deferred_release) and its flush
-// boundary (step_kind::flush). Pinned seeds replay fixed schedules
-// through the deterministic scheduler — exact regression pins, replay
-// any one with LFLL_SCHED_REPLAY=<seed> — plus direct (unscheduled)
-// checks of the deferred-release invariants the §5 audits rely on.
+// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer) and
+// the batched scan's incarnation sweep. Pinned seeds replay fixed
+// schedules through the deterministic scheduler — exact regression pins,
+// replay any one with LFLL_SCHED_REPLAY=<seed>.
 #define LFLL_SCHED_CHAOS 1
 
 #include <gtest/gtest.h>
@@ -21,18 +19,11 @@ namespace {
 
 using list_t = lfll::valois_list<char>;
 using cursor_t = list_t::cursor;
-using pool_t = list_t::pool_type;
 
 void append(list_t& list, char v) {
     cursor_t c(list);
     while (!c.at_end()) list.next(c);
     list.insert(c, v);
-}
-
-std::vector<char> contents(list_t& list) {
-    std::vector<char> out;
-    for (cursor_t c(list); !c.at_end(); list.next(c)) out.push_back(*c);
-    return out;
 }
 
 lfll::sched::options pinned(std::uint64_t seed) {
@@ -96,104 +87,6 @@ TEST(TraverseFastPath, PinnedSeed_ElidedHopValidationWindow) {
         EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
                           << " — replay with LFLL_SCHED_REPLAY=" << seed;
     }
-}
-
-/// The flush boundary: a backlog cap of 2 forces flush_deferred inside
-/// the traversal loops, and the schedules preempt between buffering a
-/// decrement and flushing it (deferred_release -> flush). The §5 audit
-/// afterwards proves no decrement was lost or doubled across the
-/// preempted flush windows.
-TEST(TraverseFastPath, PinnedSeed_DeferredReleaseFlushWindow) {
-    for (std::uint64_t seed : {2ull, 7ull, 13ull, 23ull, 37ull, 61ull}) {
-        lfll::pool_config cfg;
-        cfg.initial_capacity = 16;
-        cfg.deferred_release = 1;  // force on, whatever the env says
-        cfg.release_backlog = 2;   // flush constantly
-        pool_t pool(cfg);
-        list_t list(pool);
-        for (char v : {'A', 'B', 'C', 'D', 'E'}) append(list, v);
-        std::vector<std::function<void()>> bodies;
-        for (int t = 0; t < 2; ++t) {
-            bodies.push_back([&list] {  // traversers: feed the buffer
-                for (int round = 0; round < 3; ++round) {
-                    for (cursor_t c(list); !c.at_end(); list.next(c)) {
-                    }
-                }
-            });
-        }
-        bodies.push_back([&list] {  // deleter: buffered nodes go unreachable
-            for (int i = 0; i < 3; ++i) {
-                cursor_t c(list);
-                if (!c.at_end()) (void)list.try_delete(c);
-                c.reset();
-            }
-        });
-        lfll::sched::run(pinned(seed), std::move(bodies));
-        auto& s = lfll::sched::scheduler::instance();
-        EXPECT_GT(s.kind_count(lfll::sched::step_kind::deferred_release), 0u)
-            << "seed " << seed;
-        EXPECT_GT(s.kind_count(lfll::sched::step_kind::flush), 0u)
-            << "seed " << seed;
-        pool.drain_retired();
-        auto r = lfll::audit_list(list);
-        EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
-                          << " — replay with LFLL_SCHED_REPLAY=" << seed;
-    }
-}
-
-/// The quiescence contract the audits depend on: a traversal leaves its
-/// decrements parked in the thread's buffer, and the audit must (a) see
-/// them — flushing internally — and (b) still balance every count.
-TEST(TraverseFastPath, AuditPassesWithNonEmptyDecrementBuffer) {
-    lfll::pool_config cfg;
-    cfg.initial_capacity = 64;
-    cfg.deferred_release = 1;   // force on, whatever the env says
-    cfg.release_backlog = 64;   // and pin the cap (env can shrink it to 1)
-    pool_t pool(cfg);
-    list_t list(pool);
-    for (char v : {'a', 'b', 'c', 'd', 'e', 'f'}) append(list, v);
-
-    {
-        cursor_t c(list);
-        while (!c.at_end()) list.next(c);
-    }
-    // The walk buffered its hand-over-hand releases (backlog default 64,
-    // far above the hops here — nothing flushed yet).
-    ASSERT_GT(pool.deferred_release_pending(), 0u);
-
-    auto r = lfll::audit_list(list);
-    EXPECT_TRUE(r.ok) << r.error;
-    // The audit's internal flush ran the real decrements.
-    EXPECT_EQ(pool.deferred_release_pending(), 0u);
-}
-
-/// Deferred-release A/B: the same operation sequence against a buffering
-/// pool and an immediate-release pool must produce the same list, the
-/// same audit verdict, and — after the buffering side flushes — the same
-/// free-node accounting.
-TEST(TraverseFastPath, DeferredOnAndOffConverge) {
-    auto run = [](int deferred) {
-        lfll::pool_config cfg;
-        cfg.initial_capacity = 64;
-        cfg.deferred_release = deferred;
-        pool_t pool(cfg);
-        list_t list(pool);
-        for (char v : {'m', 'n', 'o', 'p', 'q'}) append(list, v);
-        for (int i = 0; i < 2; ++i) {  // delete the front twice
-            cursor_t c(list);
-            EXPECT_TRUE(list.try_delete(c));
-        }
-        for (cursor_t c(list); !c.at_end(); list.next(c)) {
-        }
-        pool.flush_deferred_releases();
-        pool.drain_retired();
-        auto r = lfll::audit_list(list);
-        EXPECT_TRUE(r.ok) << r.error << " (deferred_release=" << deferred << ")";
-        EXPECT_EQ(pool.retired_count(), 0u);
-        return contents(list);
-    };
-    EXPECT_EQ(run(0), run(1));
-    EXPECT_EQ(run(1), (std::vector<char>{'o', 'p', 'q'}));
 }
 
 /// Batch sweep rejection, staged deterministically: park a scan mid-hop

@@ -44,7 +44,6 @@ TYPED_TEST_SUITE(MultiOpTest, Policies);
 
 template <typename Map>
 void quiesce_and_expect_clean_audit(Map& map) {
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     const audit_report r = audit_list(map.list());
     EXPECT_TRUE(r.ok) << r.error;
@@ -52,7 +51,6 @@ void quiesce_and_expect_clean_audit(Map& map) {
 
 template <typename Map>
 void quiesce_and_expect_clean_so_audit(Map& map) {
-    map.list().pool().flush_deferred_releases();
     map.list().pool().drain_retired();
     std::map<const typename Map::node*, std::size_t> external;
     map.for_each_bucket_slot(

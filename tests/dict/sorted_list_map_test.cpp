@@ -115,4 +115,16 @@ TEST(SortedListMap, ReinsertAfterEraseReusesPoolNodes) {
     EXPECT_TRUE(r.ok) << r.error;
 }
 
+// Traversal references are released the moment a walk leaves a node
+// (Fig. 16), so erasing every key returns every cell and its aux to the
+// pool at once: no flush, drain or audit is needed before the count is
+// exact. Only First, Last and the aux between them stay live.
+TEST(SortedListMap, EraseAllReturnsEveryNodeWithoutAFlush) {
+    sorted_list_map<int, int> m(256);
+    for (int k = 0; k < 100; ++k) ASSERT_TRUE(m.insert(k, k));
+    for (int k = 0; k < 100; ++k) ASSERT_EQ(m.find(k), k);
+    for (int k = 0; k < 100; ++k) ASSERT_TRUE(m.erase(k));
+    EXPECT_EQ(m.list().pool().live_count(), 3u);
+}
+
 }  // namespace

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "lfll/core/list.hpp"
 #include "lfll/harness/runner.hpp"
 #include "lfll/harness/stats.hpp"
 #include "lfll/harness/table.hpp"
@@ -95,6 +96,26 @@ TEST(Runner, CapturesInstrumentDelta) {
     });
     EXPECT_EQ(res.counters.aux_hops, res.total_ops);
     EXPECT_DOUBLE_EQ(res.per_op(res.counters.aux_hops), 1.0);
+}
+
+TEST(Runner, ReportsTraversalCountersOfListWalk) {
+    valois_list<int> list(64);
+    {
+        valois_list<int>::cursor c(list);
+        for (int v = 0; v < 16; ++v) list.insert(c, v);
+    }
+    auto res = run_timed(1, 30, [&](int, std::atomic<bool>& stop) {
+        std::uint64_t n = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+            for (valois_list<int>::cursor c(list); !c.at_end(); list.next(c)) {
+            }
+            ++n;
+        }
+        return n;
+    });
+    EXPECT_GT(res.total_ops, 0u);
+    EXPECT_GE(res.counters.traverse_hops, 16 * res.total_ops);
+    EXPECT_GT(res.counters.traverse_fast_hops, 0u);
 }
 
 TEST(Instrument, SnapshotSumsLiveAndRetiredThreads) {

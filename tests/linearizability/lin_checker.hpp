@@ -164,6 +164,8 @@ struct search {
                 return o.result == present;  // succeeds iff present
             case op_kind::contains:
                 return o.result == present;
+            case op_kind::range:
+                break;  // handled above
         }
         return false;
     }

@@ -35,7 +35,7 @@ using lin::recorded_op;
 
 recorded_op mk(int thread, op_kind k, int key, bool result, std::uint64_t inv,
                std::uint64_t rsp) {
-    return {thread, k, key, result, inv, rsp};
+    return {thread, k, key, result, inv, rsp, 0, {}};
 }
 
 TEST(LinChecker, AcceptsSequentialHistory) {
@@ -101,10 +101,7 @@ TEST(LinChecker, AcceptsConcurrentInsertLoserSeesWinner) {
 
 recorded_op mkr(int thread, int lo, int hi, std::vector<int> keys,
                 std::uint64_t inv, std::uint64_t rsp) {
-    recorded_op o{thread, op_kind::range, lo, true, inv, rsp};
-    o.hi = hi;
-    o.keys = std::move(keys);
-    return o;
+    return {thread, op_kind::range, lo, true, inv, rsp, hi, std::move(keys)};
 }
 
 TEST(LinChecker, AcceptsConsistentRange) {

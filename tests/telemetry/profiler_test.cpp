@@ -203,7 +203,9 @@ TEST(HotKeySketch, TracksZipfHeavyHittersAgainstExactCounts) {
     // true count (inheritance only inflates).
     for (const auto& e : top) {
         const auto it = exact.find(e.key);
-        if (it != exact.end()) EXPECT_GE(e.hits, it->second);
+        if (it != exact.end()) {
+            EXPECT_GE(e.hits, it->second);
+        }
     }
     // The hottest key carries its CAS-failure attribution and last shard.
     ASSERT_EQ(top[0].key, sorted[0].first);

@@ -45,6 +45,7 @@ private:
 };
 
 using lfll::harness::bench_millis;
+using lfll::harness::consume;
 using lfll::harness::dict_worker;
 using lfll::harness::emit;
 using lfll::harness::fmt_fixed;

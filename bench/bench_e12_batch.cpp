@@ -66,7 +66,7 @@ void sweep_sorted_policy(table& t, int millis) {
         std::uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
             for (int j = 0; j < 32; ++j) {
-                (void)m.find(static_cast<int>(rng.next_below(kSortedKeys)));
+                consume(m.find(static_cast<int>(rng.next_below(kSortedKeys))));
             }
             ops += 32;
         }
@@ -81,7 +81,7 @@ void sweep_sorted_policy(table& t, int millis) {
             std::uint64_t ops = 0;
             while (!stop.load(std::memory_order_relaxed)) {
                 for (auto& k : keys) k = static_cast<int>(rng.next_below(kSortedKeys));
-                (void)m.multi_get(keys);
+                consume(m.multi_get(keys));
                 ops += b;
             }
             return ops;
@@ -137,7 +137,7 @@ void sweep_split_ordered(int millis) {
                 for (int j = 0; j < 32; ++j) {
                     draw_op(rng, op);
                     switch (op.kind) {
-                        case batch_op_kind::get: (void)m.find(op.key); break;
+                        case batch_op_kind::get: consume(m.find(op.key)); break;
                         case batch_op_kind::insert: (void)m.insert(op.key, op.value); break;
                         case batch_op_kind::erase: (void)m.erase(op.key); break;
                     }

@@ -38,7 +38,7 @@ std::uint64_t stalling_worker(Map& m, const op_mix& mix, std::uint64_t keys, int
         const int k = static_cast<int>(rng.next_below(keys));
         const int pick = static_cast<int>(rng.next_below(100));
         if (pick < mix.find_pct) {
-            (void)m.find(k);
+            consume(m.find(k));
         } else if (pick < mix.find_pct + mix.insert_pct) {
             (void)m.insert(k, k);
         } else {

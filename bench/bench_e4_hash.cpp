@@ -10,12 +10,19 @@
 //     shorten chains.
 //  3. uniform vs. Zipf keys — what happens when the even-distribution
 //     assumption fails.
+//  4. (E4c) split-ordered find cost per reclamation policy at 1 thread,
+//     on maps several times larger than L2, where every node a find
+//     reads past its stop cell costs a miss; such over-reads show as
+//     hops/find above cells/find.
 #include <memory>
 
 #include "bench_common.hpp"
 #include "lfll/baseline/locked_hash_map.hpp"
 #include "lfll/dict/hash_map.hpp"
+#include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/zipf.hpp"
+#include "lfll/reclaim/epoch_policy.hpp"
+#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -129,6 +136,29 @@ void fixed_vs_resizable(std::uint64_t keys, int threads, int millis) {
          t);
 }
 
+template <typename Policy>
+void so_find_row(table& t, std::uint64_t entries, int millis) {
+    split_ordered_map<int, int, std::hash<int>, std::less<int>, Policy> map;
+    prefill(map, 2 * entries);
+    auto res = run_timed(1, millis, [&](int tid, std::atomic<bool>& stop) {
+        return dict_worker(map, op_mix{100, 0, 0}, 2 * entries, tid, stop);
+    });
+    t.add_row({Policy::name, std::to_string(entries), std::to_string(map.bucket_count()),
+               fmt_fixed(1e9 / res.ops_per_sec, 0),
+               fmt_fixed(res.per_op(res.counters.traverse_hops), 2),
+               fmt_fixed(res.per_op(res.counters.cells_traversed), 2)});
+}
+
+void so_find_by_policy(int millis) {
+    table t({"policy", "entries", "buckets", "ns/find", "hops/find", "cells/find"});
+    for (std::uint64_t entries : {25'000u, 100'000u}) {
+        so_find_row<valois_refcount>(t, entries, millis);
+        so_find_row<hazard_policy>(t, entries, millis);
+        so_find_row<epoch_policy>(t, entries, millis);
+    }
+    emit("E4c split-ordered find by policy, 1 thread, uniform hit/miss 50/50", t);
+}
+
 }  // namespace
 
 int main() {
@@ -138,5 +168,6 @@ int main() {
     sweep_buckets(1024, 4, millis);
     skew(4096, 4, millis);
     fixed_vs_resizable(4096, 4, millis);
+    so_find_by_policy(millis);
     return 0;
 }

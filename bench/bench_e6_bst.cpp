@@ -28,7 +28,7 @@ std::uint64_t set_worker(bst_set<int>& s, int find_pct, std::uint64_t keys, int 
         const int k = static_cast<int>(rng.next_below(keys));
         const int pick = static_cast<int>(rng.next_below(100));
         if (pick < find_pct) {
-            (void)s.contains(k);
+            consume(s.contains(k));
         } else if (pick % 2 == 0) {
             (void)s.insert(k);
         } else if (tombstone_deletes) {
@@ -94,7 +94,7 @@ void ablation_delete_policy(std::uint64_t keys, int millis) {
                 }
             } else {
                 while (!stop.load(std::memory_order_relaxed)) {
-                    (void)s.contains(static_cast<int>(rng.next_below(keys)));
+                    consume(s.contains(static_cast<int>(rng.next_below(keys))));
                     ++ops;
                 }
                 search_ops.fetch_add(ops, std::memory_order_relaxed);

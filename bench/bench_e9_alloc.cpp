@@ -19,9 +19,6 @@ namespace {
 using namespace bench;
 using namespace lfll;
 
-// Prevents the compiler from eliding the allocation round-trip.
-inline void benchmark_guard(void* p) { asm volatile("" : : "g"(p) : "memory"); }
-
 void fixed_size(int millis) {
     table t({"allocator", "threads", "cycles/s"});
     using node_t = list_node<int>;
@@ -37,7 +34,7 @@ void fixed_size(int millis) {
                 std::uint64_t ops = 0;
                 while (!stop.load(std::memory_order_relaxed)) {
                     node_t* n = pool.alloc();
-                    benchmark_guard(n);
+                    consume(n);
                     pool.release(n);
                     ++ops;
                 }
@@ -53,7 +50,7 @@ void fixed_size(int millis) {
             std::uint64_t ops = 0;
             while (!stop.load(std::memory_order_relaxed)) {
                 void* p = buddy.allocate(64);
-                benchmark_guard(p);
+                consume(p);
                 buddy.deallocate(p);
                 ++ops;
             }
@@ -66,7 +63,7 @@ void fixed_size(int millis) {
             std::uint64_t ops = 0;
             while (!stop.load(std::memory_order_relaxed)) {
                 void* p = std::malloc(64);
-                benchmark_guard(p);
+                consume(p);
                 std::free(p);
                 ++ops;
             }

@@ -44,15 +44,20 @@
 //     with plain loads, snapshotting each payload seqlock-style, and
 //     validating the whole segment with one incarnation sweep before
 //     any snapshot is surfaced (batch_hop below). Any mismatch discards
-//     the batch and falls back to the per-cell hop.
+//     the batch and falls back to the per-cell hop. The walk's pure
+//     "keep going" predicate bounds every segment: the first cell whose
+//     validated copy fails it is not crossed but becomes the protected
+//     segment end, so a lookup reads exactly the cells it needs and the
+//     kScanBatch cap only binds on long walks.
 //  5. Batched MUTATOR seeks (seek_while / batch_seek_step): the same
-//     superhop drives the dictionaries' ordered seeks. The batch
-//     snapshot hands off into the ordinary referenced cursor at the
-//     landing cell — pre_cell and target are upgraded to counted
-//     references (try_ref) and the WHOLE snapshot is re-swept so
-//     the references provably attached to the nodes the snapshot read —
-//     which keeps the Figs. 9-10 CAS windows reference-held exactly as
-//     if the cursor had walked hand-over-hand.
+//     predicate-bounded superhop drives the dictionaries' ordered
+//     seeks, so the landing cell is always the protected segment end.
+//     The hand-off into the ordinary referenced cursor upgrades only
+//     pre_cell (the last crossed cell) to a counted reference (try_ref)
+//     and re-sweeps the WHOLE snapshot so that reference provably
+//     attached to the node the snapshot read — which keeps the
+//     Figs. 9-10 CAS windows reference-held exactly as if the cursor
+//     had walked hand-over-hand.
 //
 // Mutators never trust the hint: try_insert/try_delete re-pin the
 // CURRENT aux via protect(pre_cell->next) — the swing's
@@ -295,13 +300,12 @@ public:
     /// the first cell whose payload fails the predicate or at
     /// end-of-list. This is the dictionaries' find loop, lifted into the
     /// list so the counted fast path can cross up to kScanBatch cells
-    /// per RMW (batch_seek_step): the batch snapshot evaluates the
-    /// predicate on validated payload copies, then hands off into the
-    /// ordinary referenced cursor at the landing cell — the caller's
-    /// subsequent try_insert/try_delete see exactly the hand-over-hand
-    /// triple contract. `pred` must be pure (it may run on snapshot
-    /// copies, several cells ahead of the cursor, and more than once per
-    /// cell).
+    /// per RMW (batch_seek_step): the batch evaluates the predicate on
+    /// validated payload copies, ends its segment at the first cell that
+    /// fails it, and hands off into the ordinary referenced cursor there
+    /// — the caller's subsequent try_insert/try_delete see exactly the
+    /// hand-over-hand triple contract. `pred` must be pure (it runs on
+    /// snapshot copies ahead of the cursor, and more than once per cell).
     template <typename Pred>
     void seek_while(cursor& c, Pred&& pred) {
         assert(c.list_ == this && c.target_ != nullptr);
@@ -510,6 +514,11 @@ public:
         reposition(c);
     }
 
+    /// The default scan walk predicate: never ends a segment early.
+    struct every_cell {
+        constexpr bool operator()(const T&) const noexcept { return true; }
+    };
+
     /// Lightweight read-only traversal: visits each cell's payload in
     /// list order until `visit` returns false. Holds one traversal
     /// reference at a time (the minimum for safety) instead of a full
@@ -518,11 +527,18 @@ public:
     /// state is the cell-to-cell fast hop (one protect per cell, aux
     /// elided, departures released as they go); under epochs
     /// every step is already a plain load. Fully concurrent-safe.
-    template <typename Visit>
-    void scan(Visit&& visit) {
+    ///
+    /// `walk` is the optional pure "keep going" predicate of a lookup
+    /// (true while the walk must continue past a cell). It bounds the
+    /// batched superhop: a segment ends at the first cell whose validated
+    /// copy fails it, so nothing past the stop cell is read. It never
+    /// replaces `visit`, which still decides where the scan stops; the
+    /// default keeps every segment at full width (for_each, snapshots).
+    template <typename Visit, typename Walk = every_cell>
+    void scan(Visit&& visit, Walk&& walk = {}) {
         guard g = pool_->make_guard();
         scan_loop(pool_->protect(head_->next),  // first aux: never null
-                  std::forward<Visit>(visit));
+                  std::forward<Visit>(visit), walk);
     }
 
     /// Stamped scan for the snapshot/range-query layer: identical
@@ -550,11 +566,11 @@ public:
     /// `start` itself is not visited. The split-ordered hash map uses this
     /// to begin lookups at a bucket shortcut instead of First, keeping the
     /// batched-superhop fast path for intra-bucket hops.
-    template <typename Visit>
-    void scan_from(node* start, Visit&& visit) {
+    template <typename Visit, typename Walk = every_cell>
+    void scan_from(node* start, Visit&& visit, Walk&& walk = {}) {
         assert(start != nullptr && start->is_normal());
         guard g = pool_->make_guard();
-        scan_loop(pool_->copy(start), std::forward<Visit>(visit));
+        scan_loop(pool_->copy(start), std::forward<Visit>(visit), walk);
     }
 
 private:
@@ -567,19 +583,20 @@ private:
     /// Shared body of scan()/scan_from(): `p` arrives carrying one
     /// traversal reference (under counting policies) and the caller's
     /// guard spans the call.
-    template <typename Visit>
-    void scan_loop(node* p, Visit&& visit) {
+    template <typename Visit, typename Walk>
+    void scan_loop(node* p, Visit&& visit, Walk& walk) {
         auto& ctr = instrument::tls();
         for (;;) {
             node* n = nullptr;
             // Batched hop: cross up to kScanBatch cells on ONE protect by
             // snapshotting payloads seqlock-style and validating the whole
             // segment with an incarnation sweep. Snapshot cells are visited
-            // from the validated copies; the segment's last node arrives
-            // protected and is visited below like any single-step arrival.
+            // from the validated copies; the segment's last node (the
+            // walk's stop cell, or the cap) arrives protected and is
+            // visited below like any single-step arrival.
             if constexpr (pool_type::counts_traversal && batch_scannable) {
                 batch_snapshot s;
-                n = batch_hop(p, s);
+                n = batch_hop(p, s, walk);
                 if (n != nullptr) {
                     const auto crossed = static_cast<std::uint64_t>(s.cells) + 1;
                     ctr.traverse_hops += crossed;
@@ -587,7 +604,7 @@ private:
                     pool_->drop(p);
                     for (int i = 0; i < s.cells; ++i) {
                         ctr.cells_traversed++;
-                        const T& v = *std::launder(reinterpret_cast<const T*>(s.vals[i]));
+                        const T& v = s.value(i);
                         bool keep;
                         if constexpr (stamped_visitor<Visit>) {
                             keep = visit(v, s.born[i], s.dead[i]);
@@ -740,16 +757,15 @@ private:
     static constexpr bool batch_scannable =
         std::is_trivially_destructible_v<T> && std::is_trivially_copy_constructible_v<T>;
 
-    /// Cells crossed per protect by the batched hop (scan and seek).
-    /// Chosen so the validation arrays stay comfortably on the stack
-    /// while the one RMW amortizes to noise; segments shorter than this
-    /// (tail, aux chain, concurrent restructuring) simply commit a
-    /// shorter batch. Raised from 8 when seeks joined the batch path:
-    /// at 8 the E7 seek row ran ~1.49x epoch, at 16 it runs ~1.35-1.45x
-    /// — the protect amortizes further while the snapshot stays under
-    /// 1 KiB for typical payloads. 32 measured no better (the protect
-    /// is already amortized to noise; the residual is per-cell snapshot
-    /// work), so 16 keeps the stack footprint small.
+    /// Cap on the cells crossed per protect by the batched hop (scan and
+    /// seek). The walk predicate ends a lookup's segment at its stop
+    /// cell, so the cap only binds on long walks (ordered seeks deep into
+    /// a list, for_each, snapshots); segments shorter than it (stop cell,
+    /// tail, aux chain, concurrent restructuring) simply commit a shorter
+    /// batch. At 8 the E7 seek row ran ~1.49x epoch, at 16 ~1.35-1.45x;
+    /// 32 measured no better (the protect is already amortized to noise;
+    /// the residual is per-cell snapshot work), so 16 keeps the snapshot
+    /// under 1 KiB of stack for typical payloads.
     static constexpr int kScanBatch = 16;
 
     /// One batched-hop attempt: every unreferenced node read through
@@ -772,13 +788,27 @@ private:
             inc[nsrc] = i;
             ++nsrc;
         }
+
+        const T& value(int i) const noexcept {
+            return *std::launder(reinterpret_cast<const T*>(vals[i]));
+        }
+
+        /// The incarnation sweep: true iff no recorded node was reclaimed
+        /// since first touch. Callers fence (acquire) before sweeping.
+        bool unchanged() const noexcept {
+            for (int i = 0; i < nsrc; ++i) {
+                if (src[i]->incarnation.load(std::memory_order_relaxed) != inc[i]) return false;
+            }
+            return true;
+        }
     };
 
     /// Seqlock-style racy snapshot of a cell payload (batch_scannable T
     /// only, so this is a byte copy that runs no user code). May race
-    /// with a concurrent construct_cell on a recycled node; the
-    /// incarnation sweep in batch_hop discards the bytes whenever that
-    /// can have happened, so a torn copy is never observed.
+    /// with a concurrent construct_cell on a recycled node; batch_hop
+    /// re-checks the incarnation before the walk predicate sees the copy
+    /// and the commit sweep re-checks it again before anything is
+    /// surfaced, so a torn copy is never observed.
     LFLL_NO_TSAN static void racy_value_copy(unsigned char* dst, const node* src) noexcept {
         ::new (static_cast<void*>(dst)) T(*reinterpret_cast<const T*>(src->storage));
     }
@@ -786,7 +816,8 @@ private:
     /// Generalization of hop_over_aux to a whole segment: from a node the
     /// caller holds a reference on, cross up to kScanBatch cells with ONE
     /// protect (on the segment's last link) and zero references on the
-    /// nodes between. The walk uses plain loads; soundness comes from the
+    /// nodes between, stopping before the first cell whose payload fails
+    /// `walk`. The walk uses plain loads; soundness comes from the
     /// validation sweep at the end:
     ///
     ///   * `from` is referenced, so the first link read is current.
@@ -802,16 +833,23 @@ private:
     ///     revalidation then lands the counted reference exactly as in
     ///     hop_over_aux.
     ///   * Payload bytes are copied inside each cell's incarnation window
-    ///     (seqlock reader: incarnation load, copy, acquire fence, sweep
-    ///     re-check), so a validated snapshot equals some live value the
-    ///     cell held during the walk.
+    ///     (seqlock reader: incarnation load, copy, acquire fence,
+    ///     reload), and `walk` only runs on a copy whose reload matched,
+    ///     so it never sees torn bytes; the sweep re-checks the window,
+    ///     so a surfaced snapshot equals some live value the cell held
+    ///     during the walk.
+    ///   * A cell that fails `walk` (or changed under its copy) is not
+    ///     recorded: the segment ends at the aux before it, whose next —
+    ///     the stop cell, or whatever replaced it — arrives protected.
     ///
     /// On any mismatch the speculative reference is dropped (blind
     /// net-zero pair: always safe on pool nodes) and nullptr is returned;
     /// the caller falls back to the per-cell hop. Returns the protected
     /// segment-end node (a cell or Last) and fills `s` with the validated
-    /// snapshots of the cells crossed before it.
-    node* batch_hop(node* from, batch_snapshot& s) {
+    /// snapshots of the cells crossed before it, every one of which
+    /// satisfied `walk`.
+    template <typename Walk>
+    node* batch_hop(node* from, batch_snapshot& s, Walk& walk) {
         node* a;  // the aux whose next is read through next
         if (from->is_aux()) {
             a = from;  // referenced: no incarnation record needed
@@ -822,12 +860,16 @@ private:
         }
         for (;;) {
             node* c = a->next.load(std::memory_order_acquire);
-            if (c == nullptr || !c->is_normal()) return nullptr;  // aux chain: fall back
+            if (c == nullptr) return nullptr;
+            // First touch before the kind checks: a cell seen under ic (an
+            // acquire that orders after the reclaim that produced ic) has
+            // its payload fully constructed for that incarnation.
+            const std::uint64_t ic = c->incarnation.load(std::memory_order_acquire);
+            if (!c->is_normal()) return nullptr;  // aux chain: fall back
             if (!c->is_cell() || s.cells == kScanBatch - 1) {
                 // Tail reached or batch full: protect the last link.
                 return batch_commit(a, s);
             }
-            const std::uint64_t ic = c->incarnation.load(std::memory_order_acquire);
             racy_value_copy(s.vals[s.cells], c);
             // Stamps ride the same validation window as the payload bytes
             // (construct_cell resets them, never on_reclaim, so they too
@@ -841,15 +883,15 @@ private:
             // incarnations of one key.
             s.born[s.cells] = c->born_ts.load(std::memory_order_acquire);
             s.dead[s.cells] = c->dead_ts.load(std::memory_order_acquire);
-            s.record(c, ic);
             node* a2 = c->next.load(std::memory_order_acquire);
-            if (a2 == nullptr || !a2->is_aux()) {
-                // Disorder past c: retract c's record (its snapshot slot
-                // was never committed — s.cells is only bumped below) and
-                // end the segment at c, which arrives protected instead.
-                --s.nsrc;
+            std::atomic_thread_fence(std::memory_order_acquire);
+            if (c->incarnation.load(std::memory_order_relaxed) != ic ||
+                !walk(s.value(s.cells)) || a2 == nullptr || !a2->is_aux()) {
+                // Stop cell, recycled under the copy, or disorder past c:
+                // end the segment before c, which arrives protected.
                 return batch_commit(a, s);
             }
+            s.record(c, ic);
             ++s.cells;
             s.record(a2, a2->incarnation.load(std::memory_order_acquire));
             a = a2;
@@ -865,11 +907,7 @@ private:
         testing_hooks::chaos_point(sched::step_kind::ref_transfer);
         node* res = pool_->protect(a->next);
         std::atomic_thread_fence(std::memory_order_acquire);
-        bool ok = res != nullptr && res->is_normal();
-        for (int i = 0; ok && i < s.nsrc; ++i) {
-            ok = s.src[i]->incarnation.load(std::memory_order_relaxed) == s.inc[i];
-        }
-        if (!ok) {
+        if (res == nullptr || !res->is_normal() || !s.unchanged()) {
             pool_->drop(res);
             s.cells = 0;
             return nullptr;
@@ -878,101 +916,70 @@ private:
     }
 
     /// One batched mutator-seek step: from the cursor's referenced target
-    /// (a cell), snapshot up to kScanBatch cells ahead (batch_hop), find
-    /// the first whose payload copy fails the predicate, and land the
-    /// cursor there with the referenced-triple contract intact:
-    ///   pre_cell <- the cell before the landing cell (upgraded to a
-    ///               counted reference via try_ref);
-    ///   pre_aux  <- the aux between them (unreferenced hint, as always);
-    ///   target   <- the landing cell (upgraded likewise, or the already-
-    ///               protected segment end).
-    /// The upgrade try_refs land on SNAPSHOTTED pointers, so after they
-    /// succeed the ENTIRE snapshot is re-swept: unchanged incarnations
+    /// (a cell), cross the cells ahead that satisfy the predicate
+    /// (batch_hop) and land the cursor on the protected segment end with
+    /// the referenced-triple contract intact:
+    ///   pre_cell <- the last crossed cell (upgraded to a counted
+    ///               reference via try_ref), or the old target if none;
+    ///   pre_aux  <- the aux after it (unreferenced hint, as always);
+    ///   target   <- the segment end (already protected by batch_commit).
+    /// The upgrade try_ref lands on a SNAPSHOTTED pointer, so after it
+    /// succeeds the ENTIRE snapshot is re-swept: unchanged incarnations
     /// prove no snapshotted node was reclaimed since first touch, hence
-    /// the references attached to the nodes the snapshot actually read
-    /// (not same-address recycles) and the landing triple is exactly what
-    /// a hand-over-hand walk would have produced — §5 counts balance
+    /// the reference attached to the node the snapshot actually read
+    /// (not a same-address recycle) and the landing triple is exactly
+    /// what a hand-over-hand walk would have produced — §5 counts balance
     /// because every reference the cursor ends up holding was acquired
     /// through try_ref/protect and every one it gives up goes through
-    /// drop. Any failure undoes the speculative references and
-    /// returns false; the caller falls back to the per-cell hop.
+    /// drop. Any failure undoes the speculative references and returns
+    /// false; the caller falls back to the per-cell hop.
     template <typename Pred>
     bool batch_seek_step(cursor& c, Pred& pred) {
         node* from = c.target_;  // referenced cell (caller checked)
         batch_snapshot s;
-        node* res = batch_hop(from, s);
+        node* res = batch_hop(from, s, pred);
         if (res == nullptr) return false;
-        // With `from` a cell, the snapshot is laid out
-        //   src[0]      = the aux after from,
-        //   src[2i+1]   = crossed cell i   (payload copy vals[i]),
-        //   src[2i+2]   = the aux after it,     for i in [0, s.cells)
-        // and res (protected) is the segment-end node after src[nsrc-1].
-        int stop = 0;
-        while (stop < s.cells &&
-               pred(*std::launder(reinterpret_cast<const T*>(s.vals[stop])))) {
-            ++stop;
-        }
-        auto& ctr = instrument::tls();
-        if (stop == s.cells && res->is_cell() &&
-            pred(static_cast<const T&>(res->value()))) {
-            // Advance-only fast path: every crossed cell AND the live
-            // landing still satisfy the predicate, so the seek continues
-            // from res — no triple handoff yet, hence no extra RMWs
-            // (batch_commit's sweep already validated the segment). The
-            // cursor's pre_cell_ deliberately goes STALE: it keeps its
+        if (res->is_cell() && pred(static_cast<const T&>(res->value()))) {
+            // Advance-only fast path: the cap (or a concurrent insert)
+            // ended the segment while the walk goes on, so the seek
+            // continues from res — no triple handoff yet, hence no extra
+            // RMWs (batch_commit's sweep already validated the segment).
+            // The cursor's pre_cell_ deliberately goes STALE: it keeps its
             // counted reference (holding a reference only delays
-            // reclamation), and the batch that terminates the seek — or
-            // a fallback next() — re-anchors it before seek_while
-            // returns, so callers never observe the stale triple.
+            // reclamation), and the batch that terminates the seek — or a
+            // fallback next() — re-anchors it before seek_while returns,
+            // so callers never observe the stale triple.
             pool_->drop(from);
-            c.target_ = res;
-            const auto span = static_cast<std::uint64_t>(s.cells) + 1;
-            ctr.traverse_hops += span;
-            ctr.traverse_fast_hops += span;
-            ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
-            return true;
-        }
-        node* pre = stop == 0 ? from : const_cast<node*>(s.src[2 * stop - 1]);
-        node* hint = const_cast<node*>(s.src[2 * stop]);
-        node* tgt = stop == s.cells ? res : const_cast<node*>(s.src[2 * stop + 1]);
-        // Landing upgrade. from already carries the cursor's reference and
-        // res the protect's; only interior landings need new ones.
-        testing_hooks::chaos_point(sched::step_kind::batch_seek);
-        if (pre != from && !pool_->try_ref(pre)) {
-            pool_->drop(res);
-            return false;
-        }
-        if (tgt != res && !pool_->try_ref(tgt)) {
-            if (pre != from) pool_->unref(pre);
-            pool_->drop(res);
-            return false;
-        }
-        testing_hooks::chaos_point(sched::step_kind::batch_seek);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        bool ok = true;
-        for (int i = 0; ok && i < s.nsrc; ++i) {
-            ok = s.src[i]->incarnation.load(std::memory_order_relaxed) == s.inc[i];
-        }
-        if (!ok) {
-            if (pre != from) pool_->unref(pre);
-            if (tgt != res) pool_->unref(tgt);
-            pool_->drop(res);
-            return false;
-        }
-        if (tgt != res) pool_->drop(res);  // segment end overshoots the landing
-        pool_->drop(c.pre_cell_);
-        if (pre == from) {
-            c.pre_cell_ = from;  // the cursor's target reference transfers
         } else {
+            // With `from` a cell, the snapshot is laid out
+            //   src[0]      = the aux after from,
+            //   src[2i+1]   = crossed cell i,
+            //   src[2i+2]   = the aux after it,     for i in [0, s.cells)
+            // and res (protected) follows src[nsrc-1].
+            node* pre = s.cells == 0 ? from : const_cast<node*>(s.src[2 * s.cells - 1]);
+            testing_hooks::chaos_point(sched::step_kind::batch_seek);
+            if (pre != from && !pool_->try_ref(pre)) {
+                pool_->drop(res);
+                return false;
+            }
+            testing_hooks::chaos_point(sched::step_kind::batch_seek);
+            std::atomic_thread_fence(std::memory_order_acquire);
+            if (!s.unchanged()) {
+                if (pre != from) pool_->unref(pre);
+                pool_->drop(res);
+                return false;
+            }
+            pool_->drop(c.pre_cell_);
+            if (pre != from) pool_->drop(from);  // else the target reference transfers
             c.pre_cell_ = pre;
-            pool_->drop(from);  // the old target reference departs
+            c.pre_aux_ = const_cast<node*>(s.src[2 * s.cells]);
         }
-        c.pre_aux_ = hint;
-        c.target_ = tgt;
-        const auto crossed = static_cast<std::uint64_t>(stop) + 1;
-        ctr.traverse_hops += crossed;
-        ctr.traverse_fast_hops += crossed;
-        ctr.cells_traversed += static_cast<std::uint64_t>(stop);
+        c.target_ = res;
+        auto& ctr = instrument::tls();
+        const auto span = static_cast<std::uint64_t>(s.cells) + 1;
+        ctr.traverse_hops += span;
+        ctr.traverse_fast_hops += span;
+        ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
         return true;
     }
 

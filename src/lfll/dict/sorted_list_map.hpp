@@ -189,18 +189,21 @@ public:
     /// keeps the payload intact while our reference pins it. Uses the
     /// light scan (one reference at a time) rather than a full cursor:
     /// lookups never mutate, so the cursor triple would be wasted RMWs.
+    /// The keep-walking test doubles as the scan's walk predicate, so a
+    /// batched segment ends at the first cell with k >= key.
     std::optional<Value> find(const Key& key) {
         LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
         std::optional<Value> out;
+        const auto before = [&](const value_type& v) { return cmp_(v.first, key); };
         list_.scan([&](const value_type& v, std::uint64_t /*born*/, std::uint64_t dead) {
-            if (cmp_(v.first, key)) return true;  // keep walking
+            if (before(v)) return true;  // keep walking
             if (!cmp_(key, v.first) && dead == rq::kInfTs) {
                 out.emplace(v.second);  // equal and live: found
             }
             return false;  // >= key: stop (cluster order: live comes first)
-        });
+        }, before);
         return out;
     }
 

@@ -313,7 +313,9 @@ public:
 
     /// Copies out the mapped value if present, via the light scan rooted
     /// at the bucket dummy (one traversal reference at a time; batched
-    /// superhop for trivially-copyable entries).
+    /// superhop for trivially-copyable entries, bounded by the same
+    /// keep-walking test so a segment ends at the first entry at or past
+    /// (so, key) — typically the next bucket's dummy).
     std::optional<Value> find(const Key& key) {
         LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
@@ -321,16 +323,19 @@ public:
         const std::uint64_t h = hash_of(key);
         const std::uint64_t so = so_detail::so_regular(h);
         std::optional<Value> out;
+        // Sorts before (so, key): smaller so, or a colliding hash with a
+        // smaller key.
+        const auto before = [&](const entry& e) {
+            return e.so < so || (e.so == so && cmp_(e.key, key));
+        };
         list_.scan_from(bucket_node(h & mask()),
                         [&](const entry& e, std::uint64_t /*born*/, std::uint64_t dead) {
-            if (e.so < so) return true;                       // keep walking
-            if (e.so > so) return false;                      // past it: stop
-            if (cmp_(e.key, key)) return true;                // colliding hash, smaller key
-            if (!cmp_(key, e.key) && dead == rq::kInfTs) {
+            if (before(e)) return true;                       // keep walking
+            if (e.so == so && !cmp_(key, e.key) && dead == rq::kInfTs) {
                 out.emplace(e.value);                         // equal and live: found
             }
-            return false;  // cluster order: live incarnation comes first
-        });
+            return false;  // past it, or cluster order: live incarnation comes first
+        }, before);
         return out;
     }
 

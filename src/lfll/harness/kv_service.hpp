@@ -256,7 +256,7 @@ kv_report run_kv_service(Store& store, const kv_service_config& cfg) {
             {
                 auto g = lat.measure();
                 if (pick < mix.find_pct) {
-                    (void)store.find(k);
+                    consume(store.find(k));
                 } else if (pick < mix.find_pct + mix.insert_pct) {
                     (void)store.insert(k, static_cast<typename Store::mapped_type>(k));
                 } else {

@@ -23,6 +23,17 @@ struct op_mix {
     static op_mix update_heavy() { return {50, 50, 0}; }
 };
 
+/// Keeps a benchmark result alive: an empty asm that takes the value's
+/// address and clobbers memory, so the compiler must materialize `v` —
+/// and therefore run the call that produced it. Without it a locked
+/// baseline's find, whose only other effect is a mutex round-trip, has
+/// its whole walk deleted as dead code. Every driver's lookups and every
+/// bench's timed result go through this one sink.
+template <typename T>
+inline void consume(const T& v) noexcept {
+    asm volatile("" : : "r"(&v) : "memory");
+}
+
 /// Fills the map to ~50% occupancy of the key range (every even key), so
 /// finds hit half the time and insert/erase both have work to do.
 template <typename Map>
@@ -43,7 +54,7 @@ std::uint64_t dict_worker(Map& m, const op_mix& mix, std::uint64_t key_range, in
         const int k = static_cast<int>(rng.next_below(key_range));
         const int pick = static_cast<int>(rng.next_below(100));
         if (pick < mix.find_pct) {
-            (void)m.find(k);
+            consume(m.find(k));
         } else if (pick < mix.find_pct + mix.insert_pct) {
             (void)m.insert(k, k);
         } else {
@@ -64,7 +75,7 @@ std::uint64_t dict_worker_zipf(Map& m, const op_mix& mix, const zipf_generator& 
         const int k = static_cast<int>(zipf(rng));
         const int pick = static_cast<int>(rng.next_below(100));
         if (pick < mix.find_pct) {
-            (void)m.find(k);
+            consume(m.find(k));
         } else if (pick < mix.find_pct + mix.insert_pct) {
             (void)m.insert(k, k);
         } else {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "lfll/core/audit.hpp"
@@ -89,42 +90,68 @@ TEST(TraverseFastPath, PinnedSeed_ElidedHopValidationWindow) {
     }
 }
 
-/// Batch sweep rejection, staged deterministically: park a scan mid-hop
-/// is not possible from outside, but a churn storm on a tiny pool under
-/// high-preemption schedules forces batch_commit to fail its incarnation
-/// sweep (recycled snapshot nodes) and fall back — while every value the
-/// scan yields must still be one that was inserted at some point.
+/// Batch sweep rejection and the walk predicate's torn-copy guard, staged
+/// deterministically. Parking a walker mid-hop is not possible from
+/// outside, but an erase/reinsert storm on a tiny pool under
+/// high-preemption schedules recycles snapshot nodes under the finders,
+/// so batch_hop's per-cell incarnation re-check and batch_commit's sweep
+/// both fail and fall back for real. Every payload ever stored keeps
+/// second == 2*first+1, so a walk predicate that sees the invariant
+/// broken has been handed bytes from a torn or recycled copy; every
+/// value a find returns must likewise be the one stored under its key.
 TEST(TraverseFastPath, PinnedSeed_BatchSweepSurvivesRecycleStorm) {
+    using entry_t = std::pair<int, int>;
+    using pair_list = lfll::valois_list<entry_t>;
+    const auto entry = [](int k) { return entry_t{k, 2 * k + 1}; };
     for (std::uint64_t seed : {5ull, 11ull, 19ull, 31ull, 47ull}) {
-        list_t list(8);
-        for (char v : {'A', 'B', 'C', 'D', 'E', 'F', 'G', 'H', 'I', 'J'}) {
-            append(list, v);
+        pair_list list(8);  // tiny: deletions recycle under the finders
+        for (int k = 0; k < 10; ++k) {
+            pair_list::cursor c(list);
+            while (!c.at_end()) list.next(c);
+            list.insert(c, entry(k));
         }
+        int violations = 0;  // walk-predicate calls on a broken payload
+        int wrong = 0;       // surfaced payloads that were never stored
+        // Keep-walking predicate of a find for `key`; the list is not
+        // kept sorted, so a find walks until it meets the key.
+        const auto walk_to = [&violations](int key) {
+            return [&violations, key](const entry_t& e) {
+                if (e.second != 2 * e.first + 1) ++violations;
+                return e.first != key;
+            };
+        };
         std::vector<std::function<void()>> bodies;
-        bodies.push_back([&list] {  // long-segment scans: batches of 8
+        bodies.push_back([&] {  // finders: scan() and the mutator seek
             for (int round = 0; round < 4; ++round) {
-                int seen = 0;
-                list.scan([&seen](const char& v) {
-                    EXPECT_GE(v, 'A');
-                    EXPECT_LE(v, 'J');
-                    return ++seen < 64;  // defensive bound
-                });
+                for (int key = 0; key < 10; ++key) {
+                    list.scan(
+                        [&wrong, key](const entry_t& e) {
+                            if (e.second != 2 * e.first + 1) ++wrong;
+                            return e.first != key;
+                        },
+                        walk_to(key));
+                    pair_list::cursor c(list);
+                    list.seek_while(c, walk_to(key));
+                    if (!c.at_end() && (*c).second != 2 * key + 1) ++wrong;
+                }
             }
         });
         for (int t = 0; t < 2; ++t) {
-            bodies.push_back([&list, t] {  // churners across the segment
+            bodies.push_back([&list, &entry, t] {  // churners across the segment
                 for (int i = 0; i < 4; ++i) {
-                    cursor_t c(list);
+                    pair_list::cursor c(list);
                     for (int h = 0; h < 2 * t + i && !c.at_end(); ++h) list.next(c);
                     if (!c.at_end() && list.try_delete(c)) {
                         list.update(c);
-                        list.insert(c, static_cast<char>('A' + (t + i) % 10));
+                        list.insert(c, entry((t + i) % 10));
                     }
                     c.reset();
                 }
             });
         }
         lfll::sched::run(pinned(seed), std::move(bodies));
+        EXPECT_EQ(violations, 0) << "seed " << seed;
+        EXPECT_EQ(wrong, 0) << "seed " << seed;
         list.pool().drain_retired();
         auto r = lfll::audit_list(list);
         EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed

@@ -2,14 +2,17 @@
 // the instrumentation registry the experiments rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
 
+#include "lfll/baseline/coarse_list.hpp"
 #include "lfll/core/list.hpp"
 #include "lfll/harness/runner.hpp"
 #include "lfll/harness/stats.hpp"
 #include "lfll/harness/table.hpp"
+#include "lfll/harness/workload.hpp"
 #include "lfll/primitives/instrument.hpp"
 
 namespace {
@@ -116,6 +119,31 @@ TEST(Runner, ReportsTraversalCountersOfListWalk) {
     EXPECT_GT(res.total_ops, 0u);
     EXPECT_GE(res.counters.traverse_hops, 16 * res.total_ops);
     EXPECT_GT(res.counters.traverse_fast_hops, 0u);
+}
+
+/// The drivers consume lookup results (harness::consume), so a locked
+/// baseline's sequential walk survives optimization: a find-only
+/// dict_worker on a 2048-key coarse list must run far slower than on a
+/// 2-key one. Were the walk dead-code-eliminated, both would cost one
+/// mutex round-trip and the ratio would sit near 1.
+TEST(Workload, DictWorkerKeepsLockedFindWalkAlive) {
+    const auto best_ops_per_sec = [](std::uint64_t key_range) {
+        coarse_list_map<int, int> m;
+        prefill(m, key_range);
+        double best = 0;
+        for (int rep = 0; rep < 3; ++rep) {
+            auto res = run_timed(1, 30, [&](int tid, std::atomic<bool>& stop) {
+                return dict_worker(m, op_mix{100, 0, 0}, key_range, tid, stop);
+            });
+            best = std::max(best, res.ops_per_sec);
+        }
+        return best;
+    };
+    const double two_keys = best_ops_per_sec(4);
+    const double many_keys = best_ops_per_sec(4096);
+    ASSERT_GT(many_keys, 0);
+    EXPECT_GT(two_keys / many_keys, 4.0)
+        << "2 keys: " << two_keys << " finds/s, 2048 keys: " << many_keys << " finds/s";
 }
 
 TEST(Instrument, SnapshotSumsLiveAndRetiredThreads) {

@@ -20,6 +20,8 @@
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/primitives/mcs_lock.hpp"
 #include "lfll/primitives/ticket_lock.hpp"
+#include "lfll/reclaim/epoch_policy.hpp"
+#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -68,6 +70,37 @@ void run_contention(int millis) {
          t);
 }
 
+// Policy scaling section (ROADMAP D11): the same 256-key sorted list
+// under each reclamation policy at 1 and 4 threads, for a read-only mix
+// and a 50% find mix. A find that writes shared lines (counts on the
+// head or on the nodes it protects) stops scaling with threads; one that
+// only reads scales like the epoch row.
+void run_policy_scaling(int millis) {
+    constexpr std::uint64_t keys = 256;
+    const std::vector<int> counts = {1, 4};
+    for (const op_mix mix : {op_mix{100, 0, 0}, op_mix::mixed()}) {
+        table t({"structure", "threads", "ops/s", "retries/op", "cas_fail/op"});
+        sweep_threads(
+            t, "valois-refcount", mix, keys, millis,
+            [&] { return std::make_unique<sorted_list_map<int, int>>(2 * keys); }, counts);
+        sweep_threads(
+            t, "valois-hazard", mix, keys, millis,
+            [&] {
+                return std::make_unique<
+                    sorted_list_map<int, int, std::less<int>, hazard_policy>>(2 * keys);
+            },
+            counts);
+        sweep_threads(
+            t, "valois-epoch", mix, keys, millis,
+            [&] {
+                return std::make_unique<
+                    sorted_list_map<int, int, std::less<int>, epoch_policy>>(2 * keys);
+            },
+            counts);
+        emit("E1 policy scaling, " + std::to_string(keys) + " keys, mix " + mix_name(mix), t);
+    }
+}
+
 }  // namespace
 
 int main() {
@@ -76,5 +109,6 @@ int main() {
     run_mix(op_mix::read_heavy(), 256, millis);
     run_mix(op_mix::mixed(), 256, millis);
     run_contention(millis);
+    run_policy_scaling(millis);
     return 0;
 }

@@ -22,9 +22,10 @@
 //
 // A literal Fig. 5-7 hop under §5 counting costs ~6 RMWs: SafeRead the
 // aux (2), SafeRead the next cell (2), Release the old pre_cell and
-// pre_aux (2). The fast path cuts the steady state to ~2 RMWs per hop
-// (one protect, one Release) with these mechanisms (see DESIGN.md
-// "Traversal fast path"):
+// pre_aux (2). The cursor hop cuts that to ~2 RMWs (one protect, one
+// Release); lookups and ordered seeks cross cells with plain loads and
+// take references only where they land — none for a find, two for a
+// seek, however far it walks (see DESIGN.md "Traversal fast path"):
 //
 //  1. Aux reference elision. The cursor's pre_aux is demoted to an
 //     UNREFERENCED hint under every policy: hops read the aux through
@@ -39,25 +40,27 @@
 //     moment the cursor leaves it (Fig. 16 Release).
 //  3. Software prefetch of the hop-after-next while the current hop's
 //     validation retires.
-//  4. Batched scan hops (trivially-copyable payloads only): scan()
-//     crosses up to kScanBatch cells per protect by walking the chain
-//     with plain loads, snapshotting each payload seqlock-style, and
-//     validating the whole segment with one incarnation sweep before
-//     any snapshot is surfaced (batch_hop below). Any mismatch discards
-//     the batch and falls back to the per-cell hop. The walk's pure
-//     "keep going" predicate bounds every segment: the first cell whose
-//     validated copy fails it is not crossed but becomes the protected
-//     segment end, so a lookup reads exactly the cells it needs and the
-//     kScanBatch cap only binds on long walks.
-//  5. Batched MUTATOR seeks (seek_while / batch_seek_step): the same
-//     predicate-bounded superhop drives the dictionaries' ordered
-//     seeks, so the landing cell is always the protected segment end.
-//     The hand-off into the ordinary referenced cursor upgrades only
-//     pre_cell (the last crossed cell) to a counted reference (try_ref)
-//     and re-sweeps the WHOLE snapshot so that reference provably
-//     attached to the node the snapshot read — which keeps the
-//     Figs. 9-10 CAS windows reference-held exactly as if the cursor
-//     had walked hand-over-hand.
+//  4. The unreferenced walk (trivially-copyable payloads only;
+//     batch_hop below is its one engine). A walk crosses the chain with
+//     plain loads, recording every node it reads through with its
+//     incarnation at first touch and copying each cell's payload
+//     seqlock-style; an incarnation sweep then proves none of them was
+//     reclaimed, so every link it followed was real when read. scan()
+//     (for_each, snapshots) sweeps every kScanBatch cells and ends each
+//     segment on a protect, because its visitors have side effects and
+//     must resume, not restart, after a failed sweep.
+//  5. Reads that don't write. lookup()/lookup_from() walk from a
+//     borrowed anchor (head_, or a hash bucket's dummy) with the
+//     caller's pure "keep going" predicate and return a validated copy
+//     of the stop cell: segments are swept and their last cell carried
+//     unreferenced into the next, so a successful find performs no RMW
+//     at all. seek_while() crosses the same way and takes references
+//     only at the landing — try_ref(pre_cell) plus protect(target),
+//     then a re-sweep — so the Figs. 9-10 CAS windows are
+//     reference-held exactly as if the cursor had walked hand-over-hand.
+//     A failed sweep restarts once from the anchor; a second failure
+//     takes the counted path (scan_from, or one next()), which keeps
+//     every walk lock-free.
 //
 // Mutators never trust the hint: try_insert/try_delete re-pin the
 // CURRENT aux via protect(pre_cell->next) — the swing's
@@ -71,6 +74,8 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -78,6 +83,7 @@
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/memory/policy.hpp"
 #include "lfll/primitives/instrument.hpp"
+#include "lfll/telemetry/metrics.hpp"
 
 // Marks the seqlock-style racy payload copy in batch_hop: it may race
 // with construct_cell on a recycled node, and the incarnation sweep
@@ -299,13 +305,13 @@ public:
     /// Ordered seek: advances c while `pred(value)` holds, stopping at
     /// the first cell whose payload fails the predicate or at
     /// end-of-list. This is the dictionaries' find loop, lifted into the
-    /// list so the counted fast path can cross up to kScanBatch cells
-    /// per RMW (batch_seek_step): the batch evaluates the predicate on
-    /// validated payload copies, ends its segment at the first cell that
-    /// fails it, and hands off into the ordinary referenced cursor there
-    /// — the caller's subsequent try_insert/try_delete see exactly the
-    /// hand-over-hand triple contract. `pred` must be pure (it runs on
-    /// snapshot copies ahead of the cursor, and more than once per cell).
+    /// list so a counting policy can cross every cell that satisfies the
+    /// predicate with plain loads (the unreferenced walk, evaluating it
+    /// on validated payload copies) and take references only at the
+    /// landing (land_seek) — the caller's subsequent
+    /// try_insert/try_delete see exactly the hand-over-hand triple
+    /// contract. `pred` must be pure (it runs on snapshot copies ahead
+    /// of the cursor, and more than once per cell).
     template <typename Pred>
     void seek_while(cursor& c, Pred&& pred) {
         assert(c.list_ == this && c.target_ != nullptr);
@@ -315,10 +321,62 @@ public:
             ctr.cells_traversed++;
             if (!pred(static_cast<const T&>(c.target_->value()))) return;
             if constexpr (pool_type::counts_traversal && batch_scannable) {
-                if (batch_seek_step(c, pred)) continue;
+                if (land_seek(c, pred)) continue;
             }
-            next(c);
+            next(c);  // the counted hop: epochs, payloads the walk cannot copy, fallback
         }
+    }
+
+    /// A validated copy of the cell a lookup stopped at: its payload and
+    /// version stamps, read inside one incarnation window, so the triple
+    /// is an atomic snapshot of the cell.
+    struct landing {
+        T value;
+        std::uint64_t born_ts;
+        std::uint64_t dead_ts;
+    };
+
+    /// Read-only lookup: walks from First past every cell whose payload
+    /// satisfies the pure "keep going" predicate `walk` and returns a
+    /// copy of the first cell that fails it, or nullopt at end-of-list.
+    /// Under a counting policy with a batch_scannable payload this
+    /// writes no shared memory at all (see lookup_from).
+    template <typename Walk>
+    std::optional<landing> lookup(Walk&& walk) {
+        return lookup_from(head_, walk);
+    }
+
+    /// As lookup(), but starting immediately AFTER `anchor`, a normal
+    /// cell the caller keeps live for the duration WITHOUT lending it a
+    /// traversal reference: head_ (the list's root reference) or a hash
+    /// bucket's dummy (its directory slot's counted reference). `anchor`
+    /// is not visited. The walk borrows it, crosses cells with plain
+    /// loads, sweeps each segment and carries its last cell into the
+    /// next, and validates the stop cell's copy with a final sweep — no
+    /// protect, no count. A failed sweep restarts once from the anchor;
+    /// a second failure takes the counted scan.
+    template <typename Walk>
+    std::optional<landing> lookup_from(node* anchor, Walk&& walk) {
+        assert(anchor != nullptr && anchor->is_normal());
+        if constexpr (pool_type::counts_traversal && batch_scannable) {
+            for (int attempt = 0; attempt < kOptimisticTries; ++attempt) {
+                batch_snapshot s;
+                node* x = anchor;
+                if (unreferenced_walk(x, s, walk) && s.unchanged()) {
+                    count_walk(s, s.crossed + (s.stop_cell ? 1 : 0));
+                    if (!s.stop_cell) return std::nullopt;
+                    return landing{s.value(s.cells), s.born[s.cells], s.dead[s.cells]};
+                }
+                note_walk_failure(attempt);
+            }
+        }
+        std::optional<landing> out;
+        scan_from(anchor, [&](const T& v, std::uint64_t born, std::uint64_t dead) {
+            if (walk(v)) return true;
+            out.emplace(landing{v, born, dead});
+            return false;
+        });
+        return out;
     }
 
     /// Fig. 5: makes c valid again, skipping (and best-effort compacting)
@@ -514,31 +572,21 @@ public:
         reposition(c);
     }
 
-    /// The default scan walk predicate: never ends a segment early.
-    struct every_cell {
-        constexpr bool operator()(const T&) const noexcept { return true; }
-    };
-
     /// Lightweight read-only traversal: visits each cell's payload in
     /// list order until `visit` returns false. Holds one traversal
     /// reference at a time (the minimum for safety) instead of a full
-    /// cursor triple — use it for pure lookups; use cursors when the
-    /// position will be mutated. Under counting policies the steady
-    /// state is the cell-to-cell fast hop (one protect per cell, aux
-    /// elided, departures released as they go); under epochs
-    /// every step is already a plain load. Fully concurrent-safe.
-    ///
-    /// `walk` is the optional pure "keep going" predicate of a lookup
-    /// (true while the walk must continue past a cell). It bounds the
-    /// batched superhop: a segment ends at the first cell whose validated
-    /// copy fails it, so nothing past the stop cell is read. It never
-    /// replaces `visit`, which still decides where the scan stops; the
-    /// default keeps every segment at full width (for_each, snapshots).
-    template <typename Visit, typename Walk = every_cell>
-    void scan(Visit&& visit, Walk&& walk = {}) {
+    /// cursor triple — use it for visitors with side effects (for_each,
+    /// range scans); a point lookup should use lookup(), which writes
+    /// nothing. Under counting policies the steady state is the
+    /// unreferenced walk, one protect per kScanBatch cells, falling back
+    /// to the cell-to-cell fast hop (one protect per cell, aux elided,
+    /// departures released as they go); under epochs every step is
+    /// already a plain load. Fully concurrent-safe.
+    template <typename Visit>
+    void scan(Visit&& visit) {
         guard g = pool_->make_guard();
         scan_loop(pool_->protect(head_->next),  // first aux: never null
-                  std::forward<Visit>(visit), walk);
+                  std::forward<Visit>(visit));
     }
 
     /// Stamped scan for the snapshot/range-query layer: identical
@@ -566,11 +614,11 @@ public:
     /// `start` itself is not visited. The split-ordered hash map uses this
     /// to begin lookups at a bucket shortcut instead of First, keeping the
     /// batched-superhop fast path for intra-bucket hops.
-    template <typename Visit, typename Walk = every_cell>
-    void scan_from(node* start, Visit&& visit, Walk&& walk = {}) {
+    template <typename Visit>
+    void scan_from(node* start, Visit&& visit) {
         assert(start != nullptr && start->is_normal());
         guard g = pool_->make_guard();
-        scan_loop(pool_->copy(start), std::forward<Visit>(visit), walk);
+        scan_loop(pool_->copy(start), std::forward<Visit>(visit));
     }
 
 private:
@@ -583,24 +631,24 @@ private:
     /// Shared body of scan()/scan_from(): `p` arrives carrying one
     /// traversal reference (under counting policies) and the caller's
     /// guard spans the call.
-    template <typename Visit, typename Walk>
-    void scan_loop(node* p, Visit&& visit, Walk& walk) {
+    template <typename Visit>
+    void scan_loop(node* p, Visit&& visit) {
         auto& ctr = instrument::tls();
         for (;;) {
             node* n = nullptr;
             // Batched hop: cross up to kScanBatch cells on ONE protect by
             // snapshotting payloads seqlock-style and validating the whole
             // segment with an incarnation sweep. Snapshot cells are visited
-            // from the validated copies; the segment's last node (the
-            // walk's stop cell, or the cap) arrives protected and is
-            // visited below like any single-step arrival.
+            // from the validated copies; the segment's end (Last, the cap,
+            // or a link that moved under the walk) arrives protected and
+            // is visited below like any single-step arrival.
             if constexpr (pool_type::counts_traversal && batch_scannable) {
                 batch_snapshot s;
-                n = batch_hop(p, s, walk);
+                node* x = p;
+                const auto every_cell = [](const T&) { return true; };
+                if (batch_hop(x, s, every_cell) != seg_end::fail) n = batch_commit(x, s);
                 if (n != nullptr) {
-                    const auto crossed = static_cast<std::uint64_t>(s.cells) + 1;
-                    ctr.traverse_hops += crossed;
-                    ctr.traverse_fast_hops += crossed;
+                    count_walk(s, 0);
                     pool_->drop(p);
                     for (int i = 0; i < s.cells; ++i) {
                         ctr.cells_traversed++;
@@ -757,31 +805,47 @@ private:
     static constexpr bool batch_scannable =
         std::is_trivially_destructible_v<T> && std::is_trivially_copy_constructible_v<T>;
 
-    /// Cap on the cells crossed per protect by the batched hop (scan and
-    /// seek). The walk predicate ends a lookup's segment at its stop
-    /// cell, so the cap only binds on long walks (ordered seeks deep into
-    /// a list, for_each, snapshots); segments shorter than it (stop cell,
-    /// tail, aux chain, concurrent restructuring) simply commit a shorter
-    /// batch. At 8 the E7 seek row ran ~1.49x epoch, at 16 ~1.35-1.45x;
-    /// 32 measured no better (the protect is already amortized to noise;
-    /// the residual is per-cell snapshot work), so 16 keeps the snapshot
-    /// under 1 KiB of stack for typical payloads.
+    /// Cells per walk segment. A scan segment ends on a protect, so this
+    /// caps the cells a for_each or snapshot crosses per RMW; a lookup or
+    /// seek segment ends on an incarnation sweep and carries its last
+    /// cell into the next, so there it only bounds the snapshot's size
+    /// and how far a walk can wander through recycled nodes before a
+    /// sweep notices. At 8 the E7 seek row ran ~1.49x epoch, at 16
+    /// ~1.35-1.45x; 32 measured no better, so 16 keeps the snapshot under
+    /// 1 KiB of stack for typical payloads.
     static constexpr int kScanBatch = 16;
 
-    /// One batched-hop attempt: every unreferenced node read through
-    /// (with its incarnation at first touch) plus raw payload snapshots
-    /// of the cells crossed. Nothing here is surfaced until the whole
-    /// set validates.
+    /// Unreferenced attempts a lookup or seek makes before it takes the
+    /// counted path: the first walk and one restart from the anchor.
+    static constexpr int kOptimisticTries = 2;
+
+    /// One segment of the unreferenced walk: every node read through
+    /// without a reference (with its incarnation at first touch) plus raw
+    /// payload snapshots of the cells crossed. Nothing here is surfaced
+    /// until the whole set validates.
     struct batch_snapshot {
-        const node* src[2 * kScanBatch];
-        std::uint64_t inc[2 * kScanBatch];
+        /// Two records per crossed cell (the cell and the aux after it),
+        /// one for the first aux, two carried from the previous segment
+        /// and slack for a transient aux chain.
+        static constexpr int kRecords = 2 * kScanBatch + 4;
+
+        const node* src[kRecords];
+        std::uint64_t inc[kRecords];
         int nsrc = 0;
+        /// Record index of the last cell crossed since the walk began
+        /// (the landing's pre_cell); -1 while the walk has crossed none.
+        int pre = -1;
         alignas(T) unsigned char vals[kScanBatch][sizeof(T)];
         /// Version stamps captured inside the same incarnation window as
         /// the payload copy (snapshot/range-query layer).
         std::uint64_t born[kScanBatch];
         std::uint64_t dead[kScanBatch];
-        int cells = 0;
+        int cells = 0;  ///< cells crossed in this segment (copies in vals)
+        std::uint64_t crossed = 0;  ///< cells crossed over every segment
+        std::uint64_t chain = 0;    ///< extra aux nodes crossed (aux chains)
+        /// On seg_end::stop: true when the walk stopped at a cell, whose
+        /// validated copy and stamps sit at index `cells`; false at Last.
+        bool stop_cell = false;
 
         void record(const node* n, std::uint64_t i) noexcept {
             src[nsrc] = n;
@@ -794,83 +858,123 @@ private:
         }
 
         /// The incarnation sweep: true iff no recorded node was reclaimed
-        /// since first touch. Callers fence (acquire) before sweeping.
+        /// since first touch. The acquire fence orders every read the
+        /// walk made before the incarnation reloads (seqlock reader).
         bool unchanged() const noexcept {
+            std::atomic_thread_fence(std::memory_order_acquire);
             for (int i = 0; i < nsrc; ++i) {
                 if (src[i]->incarnation.load(std::memory_order_relaxed) != inc[i]) return false;
             }
             return true;
         }
+
+        /// Starts the next segment of a swept walk: keeps the records of
+        /// the last crossed cell and of the node the walk stands on (the
+        /// last record), whose link the next segment reads and whose
+        /// liveness the next sweep must therefore still prove.
+        void carry() noexcept {
+            int k = 0;
+            if (pre >= 0) {
+                src[0] = src[pre];
+                inc[0] = inc[pre];
+                pre = 0;
+                k = 1;
+            }
+            if (nsrc > k) {
+                src[k] = src[nsrc - 1];
+                inc[k] = inc[nsrc - 1];
+                ++k;
+            }
+            nsrc = k;
+            cells = 0;
+        }
+    };
+
+    /// Why a walk segment ended.
+    enum class seg_end : std::uint8_t {
+        stop,  ///< reached the stop cell (the first that fails the walk) or Last
+        cut,   ///< ended early at the node it stands on: the segment is full,
+               ///< or that node's link moved or led to a recycled cell
+        fail,  ///< read something only a reclaimed node can hold
     };
 
     /// Seqlock-style racy snapshot of a cell payload (batch_scannable T
     /// only, so this is a byte copy that runs no user code). May race
     /// with a concurrent construct_cell on a recycled node; batch_hop
     /// re-checks the incarnation before the walk predicate sees the copy
-    /// and the commit sweep re-checks it again before anything is
-    /// surfaced, so a torn copy is never observed.
+    /// and the sweep re-checks it again before anything is surfaced, so
+    /// a torn copy is never observed.
     LFLL_NO_TSAN static void racy_value_copy(unsigned char* dst, const node* src) noexcept {
         ::new (static_cast<void*>(dst)) T(*reinterpret_cast<const T*>(src->storage));
     }
 
-    /// Generalization of hop_over_aux to a whole segment: from a node the
-    /// caller holds a reference on, cross up to kScanBatch cells with ONE
-    /// protect (on the segment's last link) and zero references on the
-    /// nodes between, stopping before the first cell whose payload fails
-    /// `walk`. The walk uses plain loads; soundness comes from the
-    /// validation sweep at the end:
+    /// First touch of `n`, just read from x's link: load its incarnation,
+    /// then re-read the link. Closes the link -> first-touch gap: without
+    /// the re-read, `n` could be unlinked, reclaimed and re-linked
+    /// elsewhere between the two loads, and the walk would carry on from
+    /// its new position under an incarnation that validates. With it,
+    /// `n` held `inc` while x still linked it, so once x's own
+    /// incarnation is swept the edge x -> n was real. False when the link
+    /// moved: the caller ends its segment at x, as hop_over_aux does.
+    bool first_touch(node* x, node* n, std::uint64_t& inc) {
+        inc = n->incarnation.load(std::memory_order_acquire);
+        testing_hooks::chaos_point(sched::step_kind::first_touch);
+        return x->next.load(std::memory_order_acquire) == n;
+    }
+
+    /// The walk engine for counting policies: from `x`, which the caller
+    /// holds live (a counted reference, a borrowed anchor) or which the
+    /// previous segment carried (recorded in `s`), cross the cells whose
+    /// validated copy satisfies `walk`, with plain loads and no reference
+    /// on anything. On return `x` is the node the walk stands on: on
+    /// stop, the aux whose link reaches the stop cell. Soundness comes
+    /// from the sweep the caller runs afterwards:
     ///
-    ///   * `from` is referenced, so the first link read is current.
     ///   * Every node read through is recorded with its incarnation at
     ///     first touch. An unchanged incarnation at the sweep proves the
-    ///     node was not reclaimed across the window, hence (a) every read
-    ///     of its fields was a read of unreclaimed memory, and (b) its
-    ///     outgoing link still held the link's counted reference at the
-    ///     instant that link was read (links are released only inside
+    ///     node was not reclaimed across the window, hence (a) every
+    ///     read of its fields was a read of unreclaimed memory, and (b)
+    ///     its outgoing link still held the link's counted reference at
+    ///     the instant that link was read (links are released only inside
     ///     reclaim — node.hpp drop_links), so the successor was alive at
-    ///     that instant. Induction down the chain carries liveness from
-    ///     `from` to the final link, and the protect's own post-RMW
-    ///     revalidation then lands the counted reference exactly as in
-    ///     hop_over_aux.
+    ///     that instant. first_touch pins that successor's incarnation to
+    ///     the same instant. Induction carries liveness from the anchor
+    ///     down the chain.
     ///   * Payload bytes are copied inside each cell's incarnation window
     ///     (seqlock reader: incarnation load, copy, acquire fence,
     ///     reload), and `walk` only runs on a copy whose reload matched,
-    ///     so it never sees torn bytes; the sweep re-checks the window,
-    ///     so a surfaced snapshot equals some live value the cell held
-    ///     during the walk.
-    ///   * A cell that fails `walk` (or changed under its copy) is not
-    ///     recorded: the segment ends at the aux before it, whose next —
-    ///     the stop cell, or whatever replaced it — arrives protected.
-    ///
-    /// On any mismatch the speculative reference is dropped (blind
-    /// net-zero pair: always safe on pool nodes) and nullptr is returned;
-    /// the caller falls back to the per-cell hop. Returns the protected
-    /// segment-end node (a cell or Last) and fills `s` with the validated
-    /// snapshots of the cells crossed before it, every one of which
-    /// satisfied `walk`.
+    ///     so it never sees torn bytes. The stop cell's copy (and
+    ///     stamps) stays at s.vals[s.cells].
+    ///   * Aux chains are crossed (recorded, counted in s.chain). A cell
+    ///     that recycled under its copy, or whose link moved or does not
+    ///     lead to an aux, cuts the segment before it: x stays on the aux
+    ///     that links it.
     template <typename Walk>
-    node* batch_hop(node* from, batch_snapshot& s, Walk& walk) {
-        node* a;  // the aux whose next is read through next
-        if (from->is_aux()) {
-            a = from;  // referenced: no incarnation record needed
-        } else {
-            a = from->next.load(std::memory_order_acquire);
-            if (a == nullptr || !a->is_aux()) return nullptr;
-            s.record(a, a->incarnation.load(std::memory_order_acquire));
-        }
+    seg_end batch_hop(node*& x, batch_snapshot& s, Walk& walk) {
         for (;;) {
-            node* c = a->next.load(std::memory_order_acquire);
-            if (c == nullptr) return nullptr;
-            // First touch before the kind checks: a cell seen under ic (an
-            // acquire that orders after the reclaim that produced ic) has
-            // its payload fully constructed for that incarnation.
-            const std::uint64_t ic = c->incarnation.load(std::memory_order_acquire);
-            if (!c->is_normal()) return nullptr;  // aux chain: fall back
-            if (!c->is_cell() || s.cells == kScanBatch - 1) {
-                // Tail reached or batch full: protect the last link.
-                return batch_commit(a, s);
+            if (s.cells == kScanBatch - 1 || s.nsrc + 2 > batch_snapshot::kRecords) {
+                return seg_end::cut;
             }
-            racy_value_copy(s.vals[s.cells], c);
+            // Only a node under reclamation has a null link (Last's is
+            // never read): fail rather than wait for its incarnation bump.
+            node* n = x->next.load(std::memory_order_acquire);
+            if (n == nullptr) return seg_end::fail;
+            std::uint64_t in;
+            if (!first_touch(x, n, in)) return seg_end::cut;
+            // Kind checks after first touch: a cell seen under `in` (an
+            // acquire that orders after the reclaim that produced it) has
+            // its payload fully constructed for that incarnation.
+            if (n->is_aux()) {  // a cell's aux, or the next of an aux chain
+                if (x->is_aux()) s.chain++;
+                s.record(n, in);
+                x = n;
+                continue;
+            }
+            if (!n->is_cell()) {
+                s.stop_cell = false;  // Last
+                return seg_end::stop;
+            }
+            racy_value_copy(s.vals[s.cells], n);
             // Stamps ride the same validation window as the payload bytes
             // (construct_cell resets them, never on_reclaim, so they too
             // mutate only strictly between incarnation bumps). The loads
@@ -881,32 +985,52 @@ private:
             // this walk's LATER stamp reads — the alive-first cluster
             // order then guarantees a snapshot never shows two live
             // incarnations of one key.
-            s.born[s.cells] = c->born_ts.load(std::memory_order_acquire);
-            s.dead[s.cells] = c->dead_ts.load(std::memory_order_acquire);
-            node* a2 = c->next.load(std::memory_order_acquire);
+            s.born[s.cells] = n->born_ts.load(std::memory_order_acquire);
+            s.dead[s.cells] = n->dead_ts.load(std::memory_order_acquire);
             std::atomic_thread_fence(std::memory_order_acquire);
-            if (c->incarnation.load(std::memory_order_relaxed) != ic ||
-                !walk(s.value(s.cells)) || a2 == nullptr || !a2->is_aux()) {
-                // Stop cell, recycled under the copy, or disorder past c:
-                // end the segment before c, which arrives protected.
-                return batch_commit(a, s);
+            if (n->incarnation.load(std::memory_order_relaxed) != in) return seg_end::cut;
+            if (!walk(s.value(s.cells))) {
+                s.stop_cell = true;
+                return seg_end::stop;
             }
-            s.record(c, ic);
+            // Cross n onto the aux after it; a link that moved or leads
+            // somewhere else cuts the segment before n instead.
+            node* a = n->next.load(std::memory_order_acquire);
+            std::uint64_t ia;
+            if (a == nullptr || !first_touch(n, a, ia) || !a->is_aux()) return seg_end::cut;
+            s.record(n, in);
+            s.pre = s.nsrc - 1;
+            s.record(a, ia);
             ++s.cells;
-            s.record(a2, a2->incarnation.load(std::memory_order_acquire));
-            a = a2;
+            ++s.crossed;
+            x = a;
         }
     }
 
-    /// Protect the segment-end link and run the incarnation sweep.
-    node* batch_commit(node* a, batch_snapshot& s) {
+    /// Runs batch_hop to the stop cell across as many segments as it
+    /// takes, sweeping each full or cut segment and carrying its last
+    /// cell (and the node it stands on) into the next. True when the
+    /// walk reached its stop; the caller still owes the final sweep,
+    /// after whatever references it takes at the landing.
+    template <typename Walk>
+    bool unreferenced_walk(node*& x, batch_snapshot& s, Walk& walk) {
+        for (;;) {
+            const seg_end r = batch_hop(x, s, walk);
+            if (r == seg_end::stop) return true;
+            if (r == seg_end::fail || !s.unchanged()) return false;
+            s.carry();
+        }
+    }
+
+    /// Ends a scan segment: protect the link of the node the walk stands
+    /// on and run the incarnation sweep.
+    node* batch_commit(node* x, batch_snapshot& s) {
         // The widest elided window in the engine: everything in `s` was
         // read without references. A preemption here lets deleters and
         // the reclaim cascade churn the snapshotted nodes so the sweep's
         // failure path gets real coverage under the scheduler.
         testing_hooks::chaos_point(sched::step_kind::ref_transfer);
-        node* res = pool_->protect(a->next);
-        std::atomic_thread_fence(std::memory_order_acquire);
+        node* res = pool_->protect(x->next);
         if (res == nullptr || !res->is_normal() || !s.unchanged()) {
             pool_->drop(res);
             s.cells = 0;
@@ -915,72 +1039,82 @@ private:
         return res;
     }
 
-    /// One batched mutator-seek step: from the cursor's referenced target
-    /// (a cell), cross the cells ahead that satisfy the predicate
-    /// (batch_hop) and land the cursor on the protected segment end with
-    /// the referenced-triple contract intact:
-    ///   pre_cell <- the last crossed cell (upgraded to a counted
-    ///               reference via try_ref), or the old target if none;
-    ///   pre_aux  <- the aux after it (unreferenced hint, as always);
-    ///   target   <- the segment end (already protected by batch_commit).
-    /// The upgrade try_ref lands on a SNAPSHOTTED pointer, so after it
-    /// succeeds the ENTIRE snapshot is re-swept: unchanged incarnations
-    /// prove no snapshotted node was reclaimed since first touch, hence
-    /// the reference attached to the node the snapshot actually read
-    /// (not a same-address recycle) and the landing triple is exactly
-    /// what a hand-over-hand walk would have produced — §5 counts balance
-    /// because every reference the cursor ends up holding was acquired
-    /// through try_ref/protect and every one it gives up goes through
-    /// drop. Any failure undoes the speculative references and returns
-    /// false; the caller falls back to the per-cell hop.
+    /// The mutator seek's unreferenced walk and landing: from the
+    /// cursor's referenced target (a cell the predicate keeps), cross
+    /// every cell that satisfies `pred` and land the cursor with the
+    /// referenced-triple contract intact:
+    ///   pre_cell <- the last crossed cell (try_ref), or the old target
+    ///               if none was crossed (its reference transfers);
+    ///   pre_aux  <- the aux the walk stands on (unreferenced hint);
+    ///   target   <- protect(pre_aux->next): the stop cell, or whatever
+    ///               replaced it.
+    /// Both references land on pointers the walk read without one, so
+    /// the snapshot is swept AFTER them: unchanged incarnations prove no
+    /// recorded node was reclaimed since first touch, hence the try_ref
+    /// pinned the cell the predicate was evaluated on (not a same-address
+    /// recycle) and the protect read a live link — the triple is exactly
+    /// what a hand-over-hand walk would have produced, and §5 counts
+    /// balance because every reference the cursor ends up holding was
+    /// acquired through try_ref/protect and every one it gives up goes
+    /// through drop. A failed walk or sweep undoes the speculative
+    /// references and restarts once from the target; a second failure
+    /// returns false and the caller takes one counted hop.
     template <typename Pred>
-    bool batch_seek_step(cursor& c, Pred& pred) {
+    bool land_seek(cursor& c, Pred& pred) {
         node* from = c.target_;  // referenced cell (caller checked)
-        batch_snapshot s;
-        node* res = batch_hop(from, s, pred);
-        if (res == nullptr) return false;
-        if (res->is_cell() && pred(static_cast<const T&>(res->value()))) {
-            // Advance-only fast path: the cap (or a concurrent insert)
-            // ended the segment while the walk goes on, so the seek
-            // continues from res — no triple handoff yet, hence no extra
-            // RMWs (batch_commit's sweep already validated the segment).
-            // The cursor's pre_cell_ deliberately goes STALE: it keeps its
-            // counted reference (holding a reference only delays
-            // reclamation), and the batch that terminates the seek — or a
-            // fallback next() — re-anchors it before seek_while returns,
-            // so callers never observe the stale triple.
-            pool_->drop(from);
-        } else {
-            // With `from` a cell, the snapshot is laid out
-            //   src[0]      = the aux after from,
-            //   src[2i+1]   = crossed cell i,
-            //   src[2i+2]   = the aux after it,     for i in [0, s.cells)
-            // and res (protected) follows src[nsrc-1].
-            node* pre = s.cells == 0 ? from : const_cast<node*>(s.src[2 * s.cells - 1]);
-            testing_hooks::chaos_point(sched::step_kind::batch_seek);
-            if (pre != from && !pool_->try_ref(pre)) {
-                pool_->drop(res);
-                return false;
+        for (int attempt = 0; attempt < kOptimisticTries; ++attempt) {
+            batch_snapshot s;
+            node* x = from;
+            if (unreferenced_walk(x, s, pred)) {
+                node* pre = s.pre < 0 ? nullptr : const_cast<node*>(s.src[s.pre]);
+                testing_hooks::chaos_point(sched::step_kind::batch_seek);
+                if (pre == nullptr || pool_->try_ref(pre)) {
+                    testing_hooks::chaos_point(sched::step_kind::batch_seek);
+                    node* res = pool_->protect(x->next);
+                    if (res != nullptr && res->is_normal() && s.unchanged()) {
+                        pool_->drop(c.pre_cell_);
+                        if (pre != nullptr) {
+                            pool_->drop(from);
+                            c.pre_cell_ = pre;
+                        } else {
+                            c.pre_cell_ = from;  // the target reference transfers
+                        }
+                        c.pre_aux_ = x;
+                        c.target_ = res;
+                        count_walk(s, s.crossed);
+                        return true;
+                    }
+                    pool_->drop(res);
+                    if (pre != nullptr) pool_->unref(pre);
+                }
             }
-            testing_hooks::chaos_point(sched::step_kind::batch_seek);
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (!s.unchanged()) {
-                if (pre != from) pool_->unref(pre);
-                pool_->drop(res);
-                return false;
-            }
-            pool_->drop(c.pre_cell_);
-            if (pre != from) pool_->drop(from);  // else the target reference transfers
-            c.pre_cell_ = pre;
-            c.pre_aux_ = const_cast<node*>(s.src[2 * s.cells]);
+            note_walk_failure(attempt);
         }
-        c.target_ = res;
+        return false;
+    }
+
+    /// Hop accounting for a committed walk: one hop per cell crossed plus
+    /// the hop onto the landing, every one of them a fast hop.
+    void count_walk(const batch_snapshot& s, std::uint64_t cells) {
         auto& ctr = instrument::tls();
-        const auto span = static_cast<std::uint64_t>(s.cells) + 1;
-        ctr.traverse_hops += span;
-        ctr.traverse_fast_hops += span;
-        ctr.cells_traversed += static_cast<std::uint64_t>(s.cells);
-        return true;
+        ctr.traverse_hops += s.crossed + 1;
+        ctr.traverse_fast_hops += s.crossed + 1;
+        ctr.aux_hops += s.chain;
+        ctr.cells_traversed += cells;
+    }
+
+    /// Failure-path telemetry of the unreferenced walk: a failed first
+    /// attempt is a restart, a failed last attempt a fallback onto the
+    /// counted path. The success path touches neither counter.
+    static void note_walk_failure(int attempt) {
+        static telemetry::counter& restarts = walk_counter("lfll_traverse_restarts_total");
+        static telemetry::counter& fallbacks = walk_counter("lfll_traverse_fallbacks_total");
+        (attempt + 1 < kOptimisticTries ? restarts : fallbacks).inc();
+    }
+
+    static telemetry::counter& walk_counter(const char* name) {
+        return telemetry::registry::global().get_counter(
+            name, std::string("policy=\"") + Policy::name + "\"");
     }
 
     /// The counted-link CAS: swing `loc` from `expected` to `desired`,

@@ -184,27 +184,23 @@ public:
         return batch_detail::multi_erase(*this, keys);
     }
 
-    /// Dictionary Find: copies out the mapped value if present. The copy
-    /// is safe even against a concurrent delete — cell persistence (§2.2)
-    /// keeps the payload intact while our reference pins it. Uses the
-    /// light scan (one reference at a time) rather than a full cursor:
-    /// lookups never mutate, so the cursor triple would be wasted RMWs.
-    /// The keep-walking test doubles as the scan's walk predicate, so a
-    /// batched segment ends at the first cell with k >= key.
+    /// Dictionary Find: copies out the mapped value if present. A
+    /// read-only lookup from First (valois_list::lookup): the walk stops
+    /// at the first cell with k >= key and hands back a validated copy of
+    /// it, stamps included, so under counting policies a successful find
+    /// takes no reference and writes no shared memory. By the cluster
+    /// order a live incarnation precedes any tombstone of its key, so a
+    /// tombstoned stop cell means absent.
     std::optional<Value> find(const Key& key) {
         LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
-        std::optional<Value> out;
-        const auto before = [&](const value_type& v) { return cmp_(v.first, key); };
-        list_.scan([&](const value_type& v, std::uint64_t /*born*/, std::uint64_t dead) {
-            if (before(v)) return true;  // keep walking
-            if (!cmp_(key, v.first) && dead == rq::kInfTs) {
-                out.emplace(v.second);  // equal and live: found
-            }
-            return false;  // >= key: stop (cluster order: live comes first)
-        }, before);
-        return out;
+        const auto stop = list_.lookup(
+            [&](const value_type& v) { return cmp_(v.first, key); });
+        if (!stop || cmp_(key, stop->value.first) || stop->dead_ts != rq::kInfTs) {
+            return std::nullopt;
+        }
+        return stop->value.second;
     }
 
     bool contains(const Key& key) { return find(key).has_value(); }

@@ -19,7 +19,7 @@
 //                via a plain lock-free list insert, recursing to the
 //                parent bucket (index with the top set bit cleared);
 //   * lookup   = start the list walk at the bucket's dummy instead of
-//                First (valois_list::seek / scan_from), so chains stay
+//                First (valois_list::seek / lookup_from), so chains stay
 //                O(load factor) while correctness never depends on the
 //                shortcut: every anchor's split-order key precedes its
 //                bucket's entries in the SAME sorted list a from-head
@@ -311,32 +311,31 @@ public:
         return batch_detail::multi_erase(*this, keys);
     }
 
-    /// Copies out the mapped value if present, via the light scan rooted
-    /// at the bucket dummy (one traversal reference at a time; batched
-    /// superhop for trivially-copyable entries, bounded by the same
-    /// keep-walking test so a segment ends at the first entry at or past
-    /// (so, key) — typically the next bucket's dummy).
+    /// Copies out the mapped value if present, via the read-only lookup
+    /// anchored at the bucket dummy (valois_list::lookup_from): the
+    /// dummy is borrowed — its directory slot's counted reference keeps
+    /// it live — and the walk stops at the first entry at or past (so,
+    /// key), typically the next bucket's dummy, returning a validated
+    /// copy of it. Under counting policies a successful find writes no
+    /// shared memory, except on the first touch of its bucket, which
+    /// inserts the bucket's dummy (init_bucket).
     std::optional<Value> find(const Key& key) {
         LFLL_TRACE_SPAN(telemetry::trace_op::find, telemetry::key_hash(key));
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
         const std::uint64_t h = hash_of(key);
         const std::uint64_t so = so_detail::so_regular(h);
-        std::optional<Value> out;
         // Sorts before (so, key): smaller so, or a colliding hash with a
         // smaller key.
-        const auto before = [&](const entry& e) {
+        const auto stop = list_.lookup_from(bucket_node(h & mask()), [&](const entry& e) {
             return e.so < so || (e.so == so && cmp_(e.key, key));
-        };
-        list_.scan_from(bucket_node(h & mask()),
-                        [&](const entry& e, std::uint64_t /*born*/, std::uint64_t dead) {
-            if (before(e)) return true;                       // keep walking
-            if (e.so == so && !cmp_(key, e.key) && dead == rq::kInfTs) {
-                out.emplace(e.value);                         // equal and live: found
-            }
-            return false;  // past it, or cluster order: live incarnation comes first
-        }, before);
-        return out;
+        });
+        // Past it, or the cluster order's live-first rule: absent.
+        if (!stop || stop->value.so != so || cmp_(key, stop->value.key) ||
+            stop->dead_ts != rq::kInfTs) {
+            return std::nullopt;
+        }
+        return stop->value.value;
     }
 
     bool contains(const Key& key) { return find(key).has_value(); }

@@ -32,8 +32,8 @@ enum class step_kind : std::uint8_t {
                      ///< lazy dummy insert, bucket-slot publish)
     sample,          ///< inside the profiler's sampling/arming decision
     slow_capture,    ///< inside the slow-op ring's claim -> publish window
-    batch_seek,      ///< inside the mutator superhop's snapshot -> referenced-
-                     ///< cursor handoff window (landing try_ref + incarnation sweep)
+    batch_seek,      ///< inside the mutator seek's landing window (try_ref of the
+                     ///< last crossed cell, protect of the target, re-sweep)
     version_publish, ///< between a structural win (link/mark CAS) and the
                      ///< publication of its version stamp or victim hand-off
     rq_validate,     ///< inside a range query's slot claim / activate / retire
@@ -41,9 +41,11 @@ enum class step_kind : std::uint8_t {
     batch_drain,     ///< between sub-ops of a sorted multi-op batch (the
                      ///< cursor-resume handoff) and around a pipeline
                      ///< executor's ring drain / completion publish
+    first_touch,     ///< inside the unreferenced walk's link -> first-touch gap
+                     ///< (target incarnation loaded, link not yet re-read)
 };
 
-inline constexpr int step_kind_count = 20;
+inline constexpr int step_kind_count = 21;
 
 constexpr const char* step_name(step_kind k) noexcept {
     switch (k) {
@@ -67,6 +69,7 @@ constexpr const char* step_name(step_kind k) noexcept {
         case step_kind::version_publish:  return "version_publish";
         case step_kind::rq_validate:      return "rq_validate";
         case step_kind::batch_drain:      return "batch_drain";
+        case step_kind::first_touch:      return "first_touch";
     }
     return "?";
 }

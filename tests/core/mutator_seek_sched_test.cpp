@@ -1,23 +1,27 @@
-// Scheduler coverage for the batched mutator seek (seek_while /
-// batch_seek_step, step_kind::batch_seek) across all three reclamation
-// policies. The window under test is the batch-snapshot ->
-// referenced-cursor handoff: batch_seek_step has snapshotted a segment
-// and is about to try_ref the landing pre/target cells; a preemption
-// there lets churners recycle snapshot nodes, and the post-ref
-// incarnation re-sweep must catch it (a missed catch surfaces as a
-// count-audit imbalance or a cursor on a recycled cell).
+// Scheduler coverage for the mutator seek (seek_while / land_seek,
+// step_kind::batch_seek) across all three reclamation policies. The
+// window under test is the landing: the seek has crossed its cells with
+// plain loads and is about to try_ref the last crossed cell and protect
+// the target; a preemption there lets churners recycle crossed nodes,
+// and the post-landing incarnation re-sweep must catch it (a missed
+// catch surfaces as a count-audit imbalance or a cursor on a recycled
+// cell). A caught one restarts the walk once from the cursor's target
+// and then takes a counted hop.
 //
 // Pinned seeds replay fixed schedules through the deterministic
-// scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>. Under
-// epoch_policy the superhop compiles out (counted_traversal false); the
-// same bodies must still run clean, with zero window entries.
+// scheduler — replay any one with LFLL_SCHED_REPLAY=<seed>. The seed
+// sweeps run LFLL_SCHED_SEEDS seeds (default 8). Under epoch_policy the
+// unreferenced walk compiles out (counted_traversal false); the same
+// bodies must still run clean, with zero window entries.
 #define LFLL_SCHED_CHAOS 1
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +30,8 @@
 #include "lfll/reclaim/epoch_policy.hpp"
 #include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
+#include "lfll/telemetry/metrics.hpp"
+#include "sched_seeds.hpp"
 
 namespace {
 
@@ -41,14 +47,20 @@ sched::options pinned(std::uint64_t seed) {
     return o;
 }
 
-/// Cursor-based lookup through the batched mutator seek. map::find()
-/// rides scan() and never enters batch_seek_step; the chaos window
-/// lives on the find_from path, so the seeker body must drive it
-/// directly.
+/// Cursor-based lookup through the mutator seek. map::find() rides
+/// lookup() and never lands a cursor; the chaos window lives on the
+/// find_from path, so the seeker body must drive it directly.
+/// Also checks the landed triple: pre_cell is First or a cell (live or
+/// deleted) sorting before `key` — a landing that pinned a recycled node
+/// instead of the cell its walk crossed shows here first.
 template <typename Map>
 std::optional<int> seek_find(Map& map, int key) {
     typename Map::cursor c(map.list());
-    if (!map.find_from(key, c)) return std::nullopt;
+    const bool found = map.find_from(key, c);
+    const auto* pre = c.pre_cell();
+    EXPECT_TRUE(pre == map.list().head() || (pre->is_cell() && pre->value().first < key))
+        << "landed pre_cell is not a cell before key " << key;
+    if (!found) return std::nullopt;
     return (*c).second;
 }
 
@@ -119,6 +131,97 @@ TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Hazard) {
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_EpochCompilesOut) {
     for (std::uint64_t seed : {4ull, 9ull}) {
         run_handoff_window<epoch_policy>(seed);
+    }
+}
+
+/// The unreferenced walk's failure-path counter `name` under Policy.
+template <typename Policy>
+std::uint64_t walk_failures(const char* name) {
+    return telemetry::registry::global()
+        .get_counter(name, std::string("policy=\"") + Policy::name + "\"")
+        .value();
+}
+
+/// How often the unreferenced walk restarted and fell back.
+struct failure_counts {
+    std::uint64_t restarts = 0;
+    std::uint64_t fallbacks = 0;
+};
+
+/// Reclaim before the landing: a seeker walks to a stable key in the
+/// middle of the list while three churners erase and re-insert the keys
+/// on both sides of it, so nodes the walk crossed are reclaimed and
+/// recycled — some re-linked past the stable key — between the walk and
+/// the landing's sweep. A landing that trusted a recycled aux would stop
+/// past the key and miss it. The seek must land on the stable key with
+/// its original value, and the §5 audit must balance afterwards.
+template <typename Policy>
+failure_counts run_reclaim_before_landing(std::uint64_t seed) {
+    using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
+    const std::uint64_t r0 = walk_failures<Policy>("lfll_traverse_restarts_total");
+    const std::uint64_t f0 = walk_failures<Policy>("lfll_traverse_fallbacks_total");
+    // Tiny pool without magazines, and a drain after every erase: under
+    // hazards too, not only under refcount's immediate reclamation, the
+    // erased cells are reclaimed and recycled while the seeker walks.
+    typename map_t::list_type::pool_type pool(pool_config{24, 0});
+    map_t map(pool);
+    constexpr int kStable = 6;
+    for (int k = 0; k <= 2 * kStable; ++k) map.insert(k, 100 + k);
+    int wrong = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&map, &wrong] {  // seeker: crosses the churned keys below
+        for (int round = 0; round < 10; ++round) {
+            if (seek_find(map, kStable) != 100 + kStable) ++wrong;
+        }
+    });
+    for (int t = 0; t < 3; ++t) {
+        bodies.push_back([&map, t] {  // churners: 1..5 and 7..11
+            for (int i = 0; i < 10; ++i) {
+                const int j = (t * 3 + i) % 10;
+                const int k = j < 5 ? 1 + j : 2 + j;
+                map.erase(k);
+                map.list().pool().drain_retired();
+                map.insert(k, 100 + k);
+            }
+        });
+    }
+    sched::run(pinned(seed), std::move(bodies));
+    EXPECT_EQ(wrong, 0) << "seed " << seed;
+    auto r = quiesce_and_audit(map);
+    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
+                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    return {walk_failures<Policy>("lfll_traverse_restarts_total") - r0,
+            walk_failures<Policy>("lfll_traverse_fallbacks_total") - f0};
+}
+
+/// Pinned schedules in which the sweep after the landing fails for real:
+/// across them the walk both restarts from the cursor's target and, when
+/// the restart fails too, takes the counted hop.
+template <typename Policy>
+void expect_restart_and_fallback(std::initializer_list<std::uint64_t> seeds) {
+    failure_counts total;
+    for (std::uint64_t seed : seeds) {
+        const failure_counts f = run_reclaim_before_landing<Policy>(seed);
+        total.restarts += f.restarts;
+        total.fallbacks += f.fallbacks;
+    }
+    EXPECT_GT(total.restarts, 0u) << "no pinned schedule failed a landing sweep";
+    EXPECT_GT(total.fallbacks, 0u) << "no pinned schedule failed a restart";
+}
+
+TEST(MutatorSeekSched, PinnedSeed_ReclaimBeforeLanding_Refcount) {
+    expect_restart_and_fallback<valois_refcount>({2, 40, 54, 140});
+}
+
+TEST(MutatorSeekSched, PinnedSeed_ReclaimBeforeLanding_Hazard) {
+    expect_restart_and_fallback<hazard_policy>({248, 273, 842, 1077});
+}
+
+TEST(MutatorSeekSched, SeedSweep_ReclaimBeforeLanding) {
+    for (std::uint64_t seed : lfll_test::sweep_seeds(8)) {
+        run_reclaim_before_landing<valois_refcount>(seed);
+        run_reclaim_before_landing<hazard_policy>(seed);
+        run_reclaim_before_landing<epoch_policy>(seed);
     }
 }
 

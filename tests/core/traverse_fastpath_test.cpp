@@ -1,6 +1,7 @@
 // Scheduler coverage for the traversal fast-path engine: the elided-aux
-// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer) and
-// the batched scan's incarnation sweep. Pinned seeds replay fixed
+// hop window (hop_over_aux / batch_commit, step_kind::ref_transfer), the
+// unreferenced walk's incarnation sweeps, and its link -> first-touch
+// gap (step_kind::first_touch). Pinned seeds replay fixed
 // schedules through the deterministic scheduler — exact regression pins,
 // replay any one with LFLL_SCHED_REPLAY=<seed>.
 #define LFLL_SCHED_CHAOS 1
@@ -9,12 +10,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "lfll/core/audit.hpp"
 #include "lfll/core/list.hpp"
+#include "lfll/dict/sorted_list_map.hpp"
+#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
+#include "sched_seeds.hpp"
 
 namespace {
 
@@ -94,8 +99,8 @@ TEST(TraverseFastPath, PinnedSeed_ElidedHopValidationWindow) {
 /// deterministically. Parking a walker mid-hop is not possible from
 /// outside, but an erase/reinsert storm on a tiny pool under
 /// high-preemption schedules recycles snapshot nodes under the finders,
-/// so batch_hop's per-cell incarnation re-check and batch_commit's sweep
-/// both fail and fall back for real. Every payload ever stored keeps
+/// so batch_hop's per-cell incarnation re-check and the lookup's and
+/// seek's sweeps fail, restart and fall back for real. Every payload ever stored keeps
 /// second == 2*first+1, so a walk predicate that sees the invariant
 /// broken has been handed bytes from a torn or recycled copy; every
 /// value a find returns must likewise be the one stored under its key.
@@ -121,15 +126,14 @@ TEST(TraverseFastPath, PinnedSeed_BatchSweepSurvivesRecycleStorm) {
             };
         };
         std::vector<std::function<void()>> bodies;
-        bodies.push_back([&] {  // finders: scan() and the mutator seek
+        bodies.push_back([&] {  // finders: lookup() and the mutator seek
             for (int round = 0; round < 4; ++round) {
                 for (int key = 0; key < 10; ++key) {
-                    list.scan(
-                        [&wrong, key](const entry_t& e) {
-                            if (e.second != 2 * e.first + 1) ++wrong;
-                            return e.first != key;
-                        },
-                        walk_to(key));
+                    const auto stop = list.lookup(walk_to(key));
+                    if (stop && (stop->value.first != key ||
+                                 stop->value.second != 2 * key + 1)) {
+                        ++wrong;
+                    }
                     pair_list::cursor c(list);
                     list.seek_while(c, walk_to(key));
                     if (!c.at_end() && (*c).second != 2 * key + 1) ++wrong;
@@ -156,6 +160,71 @@ TEST(TraverseFastPath, PinnedSeed_BatchSweepSurvivesRecycleStorm) {
         auto r = lfll::audit_list(list);
         EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
                           << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    }
+}
+
+/// The link -> first-touch gap (step_kind::first_touch) under for_each.
+/// Even keys are stable; two churners erase odd keys and insert OTHER odd
+/// keys on a tiny pool, draining after each erase, so cells are unlinked,
+/// reclaimed and re-linked at new positions while a scanner walks. A
+/// segment that carried on from a cell re-linked elsewhere inside the gap
+/// could jump past stable keys. Weakly consistent iteration may show a
+/// churned key or not; it must never skip a key present throughout.
+template <typename Policy>
+void run_for_each_gap(std::uint64_t seed) {
+    using map_t = lfll::sorted_list_map<int, int, std::less<int>, Policy>;
+    typename map_t::list_type::pool_type pool(lfll::pool_config{32, 0});
+    map_t map(pool);
+    constexpr int kKeys = 20;
+    for (int k = 0; k < kKeys; ++k) map.insert(k, k);
+    int skipped = 0;
+    std::vector<std::function<void()>> bodies;
+    bodies.push_back([&map, &skipped] {  // scanner
+        for (int round = 0; round < 4; ++round) {
+            std::set<int> seen;
+            map.for_each([&seen](int k, int) { seen.insert(k); });
+            for (int k = 0; k < kKeys; k += 2) skipped += seen.count(k) == 0 ? 1 : 0;
+        }
+    });
+    for (int t = 0; t < 2; ++t) {
+        bodies.push_back([&map, t] {  // churners: erase one odd key, insert another
+            for (int i = 0; i < 8; ++i) {
+                const int gone = 1 + 2 * ((t * 5 + i) % 10);
+                map.erase(gone);
+                map.list().pool().drain_retired();
+                map.insert(1 + (gone + 6) % kKeys, gone);
+            }
+        });
+    }
+    lfll::sched::run(pinned(seed), std::move(bodies));
+    EXPECT_EQ(skipped, 0) << "seed " << seed
+                          << " — replay with LFLL_SCHED_REPLAY=" << seed;
+    EXPECT_GT(lfll::sched::scheduler::instance().kind_count(
+                  lfll::sched::step_kind::first_touch),
+              0u)
+        << "schedule never entered the first-touch gap, seed " << seed;
+    map.list().pool().drain_retired();
+    auto r = lfll::audit_list(map.list());
+    EXPECT_TRUE(r.ok) << r.error << "\nseed " << seed
+                      << " — replay with LFLL_SCHED_REPLAY=" << seed;
+}
+
+TEST(TraverseFastPath, PinnedSeed_FirstTouchGap_ForEachKeepsStableKeys_Refcount) {
+    for (std::uint64_t seed : {3ull, 8ull, 17ull, 29ull, 41ull, 56ull}) {
+        run_for_each_gap<lfll::valois_refcount>(seed);
+    }
+}
+
+TEST(TraverseFastPath, PinnedSeed_FirstTouchGap_ForEachKeepsStableKeys_Hazard) {
+    for (std::uint64_t seed : {5ull, 12ull, 23ull, 38ull}) {
+        run_for_each_gap<lfll::hazard_policy>(seed);
+    }
+}
+
+TEST(TraverseFastPath, SeedSweep_FirstTouchGap) {
+    for (std::uint64_t seed : lfll_test::sweep_seeds(8)) {
+        run_for_each_gap<lfll::valois_refcount>(seed);
+        run_for_each_gap<lfll::hazard_policy>(seed);
     }
 }
 

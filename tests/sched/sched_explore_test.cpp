@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sched_seeds.hpp"
 #include "test_scale.hpp"
 
 #include <algorithm>
@@ -48,18 +49,6 @@ std::uint64_t mix(std::uint64_t& x) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
-}
-
-/// Seeds to sweep: the replayed one alone, or 1..N (env-overridable).
-std::vector<std::uint64_t> sweep_seeds(int dflt) {
-    if (auto r = sched::replay_seed_from_env()) return {*r};
-    int n = dflt;
-    if (auto e = sched::detail::env_u64("LFLL_SCHED_SEEDS")) {
-        n = static_cast<int>(*e);
-    }
-    std::vector<std::uint64_t> seeds;
-    for (int i = 1; i <= n; ++i) seeds.push_back(static_cast<std::uint64_t>(i));
-    return seeds;
 }
 
 /// The whole schedule is a function of the seed — including the mode, so
@@ -116,7 +105,7 @@ void check_dict_seed(std::uint64_t seed) {
 
 template <typename Shim>
 void sweep_dict(int seeds) {
-    for (std::uint64_t seed : sweep_seeds(seeds)) {
+    for (std::uint64_t seed : lfll_test::sweep_seeds(seeds)) {
         ASSERT_NO_FATAL_FAILURE(check_dict_seed<Shim>(seed)) << "seed " << seed;
     }
 }
@@ -262,7 +251,7 @@ void check_queue_seed(std::uint64_t seed) {
 
 template <typename Policy>
 void sweep_queue(int seeds) {
-    for (std::uint64_t seed : sweep_seeds(seeds)) {
+    for (std::uint64_t seed : lfll_test::sweep_seeds(seeds)) {
         ASSERT_NO_FATAL_FAILURE(check_queue_seed<Policy>(seed)) << "seed " << seed;
     }
 }
@@ -343,7 +332,7 @@ void check_stack_seed(std::uint64_t seed) {
 
 template <typename Policy>
 void sweep_stack(int seeds) {
-    for (std::uint64_t seed : sweep_seeds(seeds)) {
+    for (std::uint64_t seed : lfll_test::sweep_seeds(seeds)) {
         ASSERT_NO_FATAL_FAILURE(check_stack_seed<Policy>(seed)) << "seed " << seed;
     }
 }
@@ -400,7 +389,7 @@ void check_list_seed(std::uint64_t seed) {
 
 template <typename Policy>
 void sweep_list(int seeds) {
-    for (std::uint64_t seed : sweep_seeds(seeds)) {
+    for (std::uint64_t seed : lfll_test::sweep_seeds(seeds)) {
         ASSERT_NO_FATAL_FAILURE(check_list_seed<Policy>(seed)) << "seed " << seed;
     }
 }

@@ -5,8 +5,8 @@
 // epochs because counting pays two RMWs per *traversal hop*, while HP
 // pays per hop only fenced stores and EBR pays per *operation*. This
 // bench holds the structure constant:
-//   * the SAME valois sorted map under all three MemoryPolicy plugs
-//     (§5 refcount / hazard / epoch) — the policy layer swaps only the
+//   * the SAME valois sorted map under both MemoryPolicy plugs
+//     (§5 refcount / epoch) — the policy layer swaps only the
 //     traversal-protection and reclamation-deferral seams, so the rows
 //     isolate exactly the per-hop cost the paper's §6 remark is about,
 //   * harris-michael list under hazard / epoch / leaky domains as the
@@ -21,7 +21,6 @@
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/reclaim/epoch.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/reclaim/leaky.hpp"
 
 namespace {
@@ -39,10 +38,6 @@ void run_mix(const op_mix& mix, std::uint64_t keys, int millis) {
         const std::string suffix = magazines ? "/mag" : "/list";
         sweep_threads(t, "valois-refcount" + suffix, mix, keys, millis, [&] {
             return std::make_unique<sorted_list_map<int, int>>(2 * keys);
-        });
-        sweep_threads(t, "valois-hazard" + suffix, mix, keys, millis, [&] {
-            return std::make_unique<
-                sorted_list_map<int, int, std::less<int>, hazard_policy>>(2 * keys);
         });
         sweep_threads(t, "valois-epoch" + suffix, mix, keys, millis, [&] {
             return std::make_unique<

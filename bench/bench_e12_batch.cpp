@@ -1,7 +1,7 @@
 // E12 — batched multi-ops and the request pipeline.
 //
 // Three views:
-//  1. sorted_list_map batch sweep ×3 policies: per-call find vs multi_get
+//  1. sorted_list_map batch sweep ×2 policies: per-call find vs multi_get
 //     at batch {4, 8, 32, 128}. The list walk is O(n) per cold lookup, so
 //     a sorted batch served on ONE cursor pass divides the walk by the
 //     batch size — the acceptance row (batch-32 refcount >= 1.5x per-call)
@@ -32,7 +32,6 @@
 #include "lfll/harness/runner.hpp"
 #include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -95,7 +94,6 @@ void sweep_sorted_policy(table& t, int millis) {
 void sweep_sorted(int millis) {
     table t({"policy", "mode", "batch", "ops/s", "vs find"});
     sweep_sorted_policy<valois_refcount>(t, millis);
-    sweep_sorted_policy<hazard_policy>(t, millis);
     sweep_sorted_policy<epoch_policy>(t, millis);
     emit("E12.1 sorted_list_map: per-call find vs multi_get (" +
              std::to_string(kSortedKeys) + " keys, " + std::to_string(kThreads) +

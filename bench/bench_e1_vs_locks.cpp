@@ -21,7 +21,6 @@
 #include "lfll/primitives/mcs_lock.hpp"
 #include "lfll/primitives/ticket_lock.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -83,13 +82,6 @@ void run_policy_scaling(int millis) {
         sweep_threads(
             t, "valois-refcount", mix, keys, millis,
             [&] { return std::make_unique<sorted_list_map<int, int>>(2 * keys); }, counts);
-        sweep_threads(
-            t, "valois-hazard", mix, keys, millis,
-            [&] {
-                return std::make_unique<
-                    sorted_list_map<int, int, std::less<int>, hazard_policy>>(2 * keys);
-            },
-            counts);
         sweep_threads(
             t, "valois-epoch", mix, keys, millis,
             [&] {

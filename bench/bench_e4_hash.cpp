@@ -22,7 +22,6 @@
 #include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/zipf.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -153,7 +152,6 @@ void so_find_by_policy(int millis) {
     table t({"policy", "entries", "buckets", "ns/find", "hops/find", "cells/find"});
     for (std::uint64_t entries : {25'000u, 100'000u}) {
         so_find_row<valois_refcount>(t, entries, millis);
-        so_find_row<hazard_policy>(t, entries, millis);
         so_find_row<epoch_policy>(t, entries, millis);
     }
     emit("E4c split-ordered find by policy, 1 thread, uniform hit/miss 50/50", t);

@@ -10,13 +10,10 @@
 //                        "hardware SafeRead" upper bound the paper asks
 //                        for: what traversal would cost if protection
 //                        were free).
-//   * valois-hazard /
-//     valois-epoch     — the SAME valois cursor traversal with the
-//                        MemoryPolicy seam swapped: hazard pays a
-//                        publish + revalidate + count per hop, epoch a
-//                        plain acquire load under one pin per cursor —
-//                        i.e. the paper's §6 wish, implemented in
-//                        software.
+//   * valois-epoch     — the SAME valois cursor traversal with the
+//                        MemoryPolicy seam swapped: a plain acquire
+//                        load per hop under one pin per cursor — i.e.
+//                        the paper's §6 wish, implemented in software.
 //   * hm-hazard        — Harris-Michael list, hazard-pointer protected
 //                        (two fenced stores + revalidation per hop).
 //   * hm-epoch         — Harris-Michael under epochs: one pin per full
@@ -40,7 +37,6 @@
 #include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/reclaim/leaky.hpp"
 
 namespace {
@@ -74,7 +70,6 @@ void BM_ValoisPolicyTraversal(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kCells);
 }
 BENCHMARK(BM_ValoisPolicyTraversal<valois_refcount>)->Name("BM_ValoisSafeReadTraversal");
-BENCHMARK(BM_ValoisPolicyTraversal<hazard_policy>)->Name("BM_ValoisHazardTraversal");
 BENCHMARK(BM_ValoisPolicyTraversal<epoch_policy>)->Name("BM_ValoisEpochTraversal");
 
 // The batched seek path (seek_while): the mutator-facing traversal the
@@ -98,7 +93,6 @@ void BM_ValoisPolicySeek(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kCells);
 }
 BENCHMARK(BM_ValoisPolicySeek<valois_refcount>)->Name("BM_ValoisSafeReadSeek");
-BENCHMARK(BM_ValoisPolicySeek<hazard_policy>)->Name("BM_ValoisHazardSeek");
 BENCHMARK(BM_ValoisPolicySeek<epoch_policy>)->Name("BM_ValoisEpochSeek");
 
 // map.for_each — the dictionary-level whole-map visit. Historically this
@@ -117,7 +111,6 @@ void BM_ValoisPolicyForEach(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kCells);
 }
 BENCHMARK(BM_ValoisPolicyForEach<valois_refcount>)->Name("BM_ValoisSafeReadForEach");
-BENCHMARK(BM_ValoisPolicyForEach<hazard_policy>)->Name("BM_ValoisHazardForEach");
 BENCHMARK(BM_ValoisPolicyForEach<epoch_policy>)->Name("BM_ValoisEpochForEach");
 
 // Insert/erase-heavy dictionary mix (20f/40i/40e over a half-full key
@@ -146,7 +139,6 @@ void BM_ValoisPolicyMutatorMix(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ValoisPolicyMutatorMix<valois_refcount>)->Name("BM_ValoisSafeReadMutatorMix");
-BENCHMARK(BM_ValoisPolicyMutatorMix<hazard_policy>)->Name("BM_ValoisHazardMutatorMix");
 BENCHMARK(BM_ValoisPolicyMutatorMix<epoch_policy>)->Name("BM_ValoisEpochMutatorMix");
 
 // Side-arena A/B (EXPERIMENTS.md "Side-arena string traversal"): a
@@ -249,8 +241,8 @@ void BM_SafeReadSingle(benchmark::State& state) {
     auto& list = valois_map<>().list();
     auto& pool = list.pool();
     for (auto _ : state) {
-        auto* p = pool.safe_read(list.head()->next);
-        pool.release(p);
+        auto* p = pool.protect(list.head()->next);
+        pool.unref(p);
     }
 }
 BENCHMARK(BM_SafeReadSingle);

@@ -35,7 +35,7 @@ void fixed_size(int millis) {
                 while (!stop.load(std::memory_order_relaxed)) {
                     node_t* n = pool.alloc();
                     consume(n);
-                    pool.release(n);
+                    pool.unref(n);
                     ++ops;
                 }
                 return ops;

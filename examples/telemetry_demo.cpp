@@ -1,7 +1,7 @@
 // Telemetry demo: publish live metrics from a concurrent workload.
 //
 // Runs a short mixed insert/erase/find workload against the sorted-list
-// dictionary under all three memory policies while a periodic exporter
+// dictionary under both memory policies while a periodic exporter
 // streams registry snapshots, then prints the final snapshot and (when
 // the flight recorder is compiled in) dumps a Chrome/Perfetto trace.
 //
@@ -24,7 +24,6 @@
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/telemetry/exporter.hpp"
 #include "lfll/telemetry/metrics.hpp"
 #include "lfll/telemetry/trace.hpp"
@@ -77,22 +76,21 @@ int main(int argc, char** argv) {
         exporter = lfll::telemetry::exporter_from_env();
     }
 
-    const double per_policy = seconds / 3.0;
+    const double per_policy = seconds / 2.0;
     churn<lfll::valois_refcount>(per_policy);
-    churn<lfll::hazard_policy>(per_policy);
     churn<lfll::epoch_policy>(per_policy);
 
     if (exporter != nullptr) exporter->stop();
 
     // Final snapshot to stdout: the op counters plus one health gauge per
-    // policy, proving all three published into the shared registry.
+    // policy, proving both published into the shared registry.
     const auto rows = lfll::telemetry::registry::global().snapshot();
     int gauges_seen = 0;
     for (const auto& r : rows) {
         if (r.name == "lfll_retired_backlog") ++gauges_seen;
     }
     std::printf("%s", lfll::telemetry::render_prometheus(rows).c_str());
-    std::printf("telemetry_demo: %d retired-backlog gauges (expect >= 3)\n",
+    std::printf("telemetry_demo: %d retired-backlog gauges (expect >= 2)\n",
                 gauges_seen);
 
     if constexpr (lfll::telemetry::trace_enabled) {
@@ -102,5 +100,5 @@ int main(int argc, char** argv) {
         std::printf("telemetry_demo: trace written to %s (%zu events)\n",
                     path.c_str(), lfll::telemetry::trace_event_count());
     }
-    return gauges_seen >= 3 ? 0 : 1;
+    return gauges_seen >= 2 ? 0 : 1;
 }

@@ -10,8 +10,8 @@
 // All mutation is by single-word CAS on `next` fields, with the counted-
 // link discipline described in memory/node_pool.hpp. Reclamation is
 // pluggable (memory/policy.hpp): the Policy parameter decides what a
-// traversal hop costs (SafeRead's two RMWs, a hazard publish, or a plain
-// load under an epoch pin) and when dead nodes recycle; the default is
+// traversal hop costs (SafeRead's two RMWs or a plain load under an
+// epoch pin) and when dead nodes recycle; the default is
 // the paper's §5 scheme, under which the operations map 1:1 onto the
 // paper's figures:
 //   first()      — Fig. 6        try_insert() — Fig. 9
@@ -166,7 +166,7 @@ public:
     /// holds one traversal reference on pre_cell and target and keeps a
     /// policy guard engaged for its whole attached lifetime, so the nodes
     /// it points at — even deleted ones — cannot be recycled under it
-    /// (counts under refcount/hazard, the pin's grace period under
+    /// (counts under refcount, the pin's grace period under
     /// epochs). pre_aux is an UNREFERENCED hint under every policy (the
     /// traversal fast path's aux elision): reads through it are racy but
     /// safe — slabs never return to the OS — and every consumer either
@@ -582,30 +582,17 @@ public:
     /// to the cell-to-cell fast hop (one protect per cell, aux elided,
     /// departures released as they go); under epochs every step is
     /// already a plain load. Fully concurrent-safe.
+    ///
+    /// The snapshot/range-query layer passes a stamped visitor instead:
+    ///   visit(const T&, uint64_t born_ts, uint64_t dead_ts) -> bool
+    /// Batched segments surface the stamps captured inside the same
+    /// incarnation-validated window as the payload copy, so a validated
+    /// (payload, born, dead) triple is an atomic snapshot of the cell.
     template <typename Visit>
     void scan(Visit&& visit) {
         guard g = pool_->make_guard();
         scan_loop(pool_->protect(head_->next),  // first aux: never null
                   std::forward<Visit>(visit));
-    }
-
-    /// Stamped scan for the snapshot/range-query layer: identical
-    /// traversal engine (superhop, aux elision), but the
-    /// visitor receives each cell's version stamps alongside the payload:
-    ///   visit(const T&, uint64_t born_ts, uint64_t dead_ts) -> bool
-    /// Batched segments surface the stamps captured inside the same
-    /// incarnation-validated window as the payload copy, so a validated
-    /// (payload, born, dead) triple is an atomic snapshot of the cell.
-    /// scan()/scan_from() accept stamped visitors directly; these names
-    /// exist so call sites read as what they are.
-    template <typename Visit>
-    void snapshot_scan(Visit&& visit) {
-        scan(std::forward<Visit>(visit));
-    }
-
-    template <typename Visit>
-    void snapshot_scan_from(node* start, Visit&& visit) {
-        scan_from(start, std::forward<Visit>(visit));
     }
 
     /// As scan(), but starting immediately AFTER `start`, which must be a

@@ -111,7 +111,7 @@ public:
         for (int i = 1; i < height; ++i) {
             if (!promote(i, key, preds[i], below)) break;
         }
-        pool_.release(below);
+        pool_.unref(below);
         release_preds(preds);
         return true;
     }
@@ -288,7 +288,7 @@ private:
                 node* down = pred->value().down;
                 next_start = pool_.try_ref(down) ? down : nullptr;
             }
-            pool_.release(start);
+            pool_.unref(start);
             start = next_start;
             if (i == 0) c0 = std::move(c);
         }
@@ -323,7 +323,7 @@ private:
             levels_[lvl]->update(c);
         }
         levels_[lvl]->release_node(a);
-        pool_.release(below);
+        pool_.unref(below);
         below = q;  // q's private reference moves into `below`
         return true;
     }
@@ -344,7 +344,7 @@ private:
     }
 
     void release_preds(std::vector<node*>& preds) {
-        for (node* p : preds) pool_.release(p);
+        for (node* p : preds) pool_.unref(p);
         preds.clear();
     }
 
@@ -379,10 +379,10 @@ private:
             cursor c;
             descend(*lo, c, nullptr);
             node* start = c.pre_cell();
-            levels_[0]->snapshot_scan_from(start, visit);
+            levels_[0]->scan_from(start, visit);
             c.reset();
         } else {
-            levels_[0]->snapshot_scan(visit);
+            levels_[0]->scan(visit);
         }
         bool merged = false;
         rq_.end(tk, [&](const rq_victim& v) {

@@ -26,7 +26,7 @@
 //     key and point reads can stop at the first key match.
 //
 // A range query draws one timestamp (its linearization point), rides the
-// ordinary batched snapshot_scan — stamps are captured inside the same
+// ordinary batched scan — stamps are captured inside the same
 // incarnation-validated window as the payload — and merges the victim
 // hand-offs at the end.
 #pragma once
@@ -395,8 +395,7 @@ private:
     std::vector<std::pair<Key, Value>> collect(const Key* lo, const Key* hi) {
         const auto tk = rq_.begin();
         std::vector<std::pair<Key, Value>> out;
-        list_.snapshot_scan([&](const value_type& v, std::uint64_t born,
-                                std::uint64_t dead) {
+        list_.scan([&](const value_type& v, std::uint64_t born, std::uint64_t dead) {
             if (lo != nullptr && cmp_(v.first, *lo)) return true;
             if (hi != nullptr && !cmp_(v.first, *hi)) return false;  // sorted: stop
             if (born != 0 && born <= tk.t && tk.t < dead) {

@@ -35,7 +35,7 @@
 // no window in which any operation waits on a resize.
 //
 // Reclamation is pluggable like everywhere else (valois_refcount /
-// hazard / epoch); dummies are never deleted, so bucket shortcuts stay
+// epoch); dummies are never deleted, so bucket shortcuts stay
 // valid under every policy (each slot holds a counted reference).
 //
 // Constraints vs hash_map: Key and Value must be default-constructible
@@ -701,7 +701,7 @@ private:
     std::vector<std::pair<Key, Value>> collect(const Key* lo, const Key* hi) {
         const auto tk = rq_.begin();
         std::vector<std::pair<Key, Value>> out;
-        list_.snapshot_scan([&](const entry& e, std::uint64_t born, std::uint64_t dead) {
+        list_.scan([&](const entry& e, std::uint64_t born, std::uint64_t dead) {
             if (so_detail::is_dummy_key(e.so)) return true;
             if (lo != nullptr && cmp_(e.key, *lo)) return true;
             if (hi != nullptr && !cmp_(e.key, *hi)) return true;  // NOT sorted by key

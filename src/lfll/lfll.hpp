@@ -16,7 +16,6 @@
 #include "lfll/memory/policy.hpp"
 #include "lfll/memory/ref_count.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 
 // Dictionaries (§4) and building-block adapters (§1, [27]).
 #include "lfll/adapters/priority_queue.hpp"

@@ -22,7 +22,7 @@
 //
 // When the count reaches zero and the claim bit is won, the node is
 // retire-eligible. Immediate policies (valois_refcount) cascade the
-// reclamation on the spot; deferred policies (hazard, epoch) bank the
+// reclamation on the spot; deferred policies (epoch) bank the
 // node with their domain and the pool's reclaim callback runs after the
 // grace period, dropping the node's outgoing links (which may take
 // further counts to zero) and pushing it back on the free list.
@@ -87,7 +87,7 @@
 //    the tagged-head fix here, with the count word as an unbounded tag.
 //  * The depot heads (`depot_full_head_`, `depot_empty_head_`) hold
 //    magazines, which have no count word, so they use the same
-//    {tag:32, index:32} packed heads as the epoch/hazard ctx allocators
+//    {tag:32, index:32} packed heads as the epoch ctx allocator
 //    (PR 1). Tag-width invariant: the tag is bumped by every successful
 //    CAS and wraps at 2^32, so ABA would require one thread to stall
 //    mid-pop across an exact multiple of 2^32 successful depot
@@ -189,6 +189,12 @@ public:
     /// free and the fast path would be a pessimization.
     static constexpr bool counts_traversal = Policy::counted_traversal;
 
+    /// Whether a node whose claim was won waits out the domain's grace
+    /// period before reuse. Derived, not declared: a counted traversal
+    /// reference blocks reuse by itself, so only a policy whose traversal
+    /// references are raw pointers needs one.
+    static constexpr bool deferred = !counts_traversal;
+
     /// Creates a pool with `initial_capacity` pre-allocated nodes. The pool
     /// grows by doubling slabs when exhausted (growth takes a mutex; the
     /// alloc fast path is lock-free).
@@ -262,7 +268,7 @@ public:
                 // dummy chain, which frees strictly one node per pass).
                 // Progress lands either on the global list or in THIS
                 // thread's magazines; both are visible next iteration.
-                if constexpr (Policy::deferred) {
+                if constexpr (deferred) {
                     const std::size_t before = domain_.retired_count();
                     if (before > 0) {
                         drain_retired();
@@ -322,11 +328,11 @@ public:
     /// reference; if the count reaches zero and this caller wins the
     /// claim, the node is retired through the policy: immediately
     /// cascaded back to the free list (valois_refcount) or banked until
-    /// the domain's grace period passes (hazard/epoch), after which the
+    /// the domain's grace period passes (epoch), after which the
     /// reclaim callback drops its links and recycles it.
     void unref(Node* p) noexcept {
         if (p == nullptr) return;
-        if constexpr (Policy::deferred) {
+        if constexpr (deferred) {
             testing_hooks::chaos_point(sched::step_kind::release);  // before the decrement
             if (refct_release(p->refct)) {
                 testing_hooks::chaos_point(sched::step_kind::retire);  // claim won, not yet banked
@@ -349,7 +355,7 @@ public:
 
     /// Duplicates a traversal reference the caller already holds.
     Node* copy(Node* p) noexcept {
-        if constexpr (policy_counts_traversal) {
+        if constexpr (counts_traversal) {
             return ref(p);
         } else {
             return p;
@@ -358,19 +364,12 @@ public:
 
     /// Drops a traversal reference.
     void drop(Node* p) noexcept {
-        if constexpr (policy_counts_traversal) {
+        if constexpr (counts_traversal) {
             unref(p);
         } else {
             (void)p;
         }
     }
-
-    // --- legacy names (paper vocabulary; §5-faithful under the default
-    // policy, where every reference is a counted reference) -----------------
-
-    Node* add_ref(Node* p) noexcept { return ref(p); }
-    Node* safe_read(const std::atomic<Node*>& location) noexcept { return protect(location); }
-    void release(Node* p) noexcept { unref(p); }
 
     // --- introspection ----------------------------------------------------
 
@@ -420,7 +419,7 @@ public:
     /// retire further nodes) are chased to exhaustion; nodes still
     /// protected by concurrent guards survive and end the loop.
     void drain_retired() {
-        if constexpr (Policy::deferred) {
+        if constexpr (deferred) {
             LFLL_TRACE_PHASE(telemetry::trace_phase::reclaim);
             LFLL_TRACE_SPAN(telemetry::trace_op::drain, 0);
             telemetry::prof::phase_scope prof_phase(telemetry::prof::phase::reclaim);
@@ -475,8 +474,6 @@ public:
     }
 
 private:
-    static constexpr bool policy_counts_traversal = Policy::counted_traversal;
-
     struct slab {
         std::unique_ptr<Node[]> nodes;
         std::size_t count;

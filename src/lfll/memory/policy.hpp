@@ -3,17 +3,20 @@
 // The paper hard-wires §5 reference counting (SafeRead/Release) into the
 // list. This layer lifts the three decisions a reclamation scheme makes
 // into a policy type, so the same list/dictionary/adapter code runs under
-// reference counting, hazard pointers, or epochs:
+// the paper's reference counting or under epochs:
 //
 //   1. `protect`  — how a traversal acquires a dereferenceable pointer
 //                   from a shared location (the SafeRead seat).
 //   2. `retire`   — what happens when a node's reference count hits zero
-//                   and the claim is won: reclaim immediately
-//                   (`deferred == false`) or bank it with a domain until a
-//                   grace period passes (`deferred == true`).
+//                   and the claim is won: reclaim immediately, or bank it
+//                   with a domain until a grace period passes.
 //   3. enter/leave — per-thread read-side critical-section hooks
-//                   (epoch pin, hazard slot-group checkout; no-ops for
-//                   pure reference counting).
+//                   (epoch pin; no-ops for pure reference counting).
+//
+// One trait, `counted_traversal`, fixes the shape: a policy whose
+// traversal references land on the count word needs no grace period and
+// reclaims immediately; one whose traversal references are raw pointers
+// defers reclamation until no reader can hold one (node_pool::deferred).
 //
 // Hybrid counting: under EVERY policy, pointers stored in shared memory
 // (list links, the free-list head) and long-held private pointers
@@ -21,9 +24,8 @@
 // the per-node count word, and a node becomes retire-eligible exactly
 // when the count reaches zero and the claim bit is won (ref_count.hpp).
 // Policies differ in what a *traversal hop* costs (two RMWs for
-// SafeRead, one publish+validate for hazard, a plain load under an
-// epoch pin) and in whether the zero-count node is recycled immediately
-// or after a grace period. Because a counted link blocks retirement
+// SafeRead, a plain load under an epoch pin) and in whether the
+// zero-count node is recycled immediately or after a grace period. Because a counted link blocks retirement
 // outright, reference acquisition on a node that may already be retired
 // must check the claim bit (node_pool::try_ref) — a claimed node must
 // never be re-linked.
@@ -54,7 +56,7 @@ struct counted_header {
 };
 
 /// Globally unique id for objects that anchor thread-local records:
-/// policy domains (epoch/hazard tl_state) and node pools (magazine
+/// policy domains (epoch tl_state) and node pools (magazine
 /// caches). Records are keyed by this id rather than the owner's
 /// address, so a record can never alias a dead owner whose storage was
 /// reused.
@@ -69,7 +71,6 @@ concept memory_policy_for =
     std::is_base_of_v<typename P::header, Node> &&
     requires(typename P::domain& d, const std::atomic<Node*>& loc, void* raw,
              reclaim_fn fn) {
-        { P::deferred } -> std::convertible_to<bool>;
         { P::counted_traversal } -> std::convertible_to<bool>;
         { P::name } -> std::convertible_to<const char*>;
         { P::template protect<Node>(d, loc, fn, raw) } -> std::same_as<Node*>;
@@ -138,7 +139,6 @@ private:
 /// empty and enter/leave are no-ops.
 struct valois_refcount {
     using header = counted_header;
-    static constexpr bool deferred = false;
     /// Traversal references (protect/copy/drop) land on the count word.
     static constexpr bool counted_traversal = true;
     static constexpr const char* name = "valois_refcount";

@@ -34,7 +34,6 @@ namespace lfll {
 
 struct epoch_policy {
     using header = counted_header;
-    static constexpr bool deferred = true;
     /// Traversal references are raw pointers under the guard's pin.
     static constexpr bool counted_traversal = false;
     static constexpr const char* name = "epoch";

@@ -48,8 +48,8 @@ hazard_domain::hazard_domain(int max_threads, std::size_t scan_threshold)
 }
 
 hazard_domain::~hazard_domain() {
-    // Callbacks may cascade-retire while we sweep; loop until dry.
-    while (retired_count() > 0) drain();
+    // No pin outlives the domain, so one sweep frees the whole backlog.
+    drain();
 }
 
 int hazard_domain::acquire_group() {
@@ -78,8 +78,6 @@ void hazard_domain::release_group(int g) {
 }
 
 void hazard_domain::publish(int group, int slot, void* p) noexcept {
-    // seq_cst: the store must be ordered before the revalidation load in
-    // protect(), and visible to any retirer's scan.
     groups_[group].hp[slot].store(p, std::memory_order_seq_cst);
 }
 
@@ -105,123 +103,79 @@ void hazard_domain::pin::clear_all() noexcept {
 }
 
 void hazard_domain::pin::retire(void* p, void (*deleter)(void*)) {
-    dom_.retire_impl(group_, {p, deleter, nullptr, nullptr});
-}
-
-void hazard_domain::retire_with(int group, void* p, void (*fn)(void*, void*), void* ctx) {
-    retire_impl(group, {p, nullptr, fn, ctx});
+    dom_.retire_impl(group_, {p, deleter});
 }
 
 void hazard_domain::retire_impl(int group, retired_node r) {
     auto& g = groups_[group];
+    // Counted before the push, so a concurrent drain() can never free
+    // (and subtract) a node the total does not yet include.
+    const std::size_t total = retired_total_.fetch_add(1, std::memory_order_relaxed) + 1;
+    backlog_gauge().set(static_cast<std::int64_t>(total));
     bool threshold;
     {
         std::lock_guard lk(g.mu);
         g.retired.push_back(r);
         threshold = g.retired.size() >= scan_threshold_;
     }
-    const std::size_t total = retired_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    backlog_gauge().set(static_cast<std::int64_t>(total));
     if (threshold) scan(g);
 }
 
-std::size_t hazard_domain::scan(slot_group& g) {
-    // Callbacks may retire further nodes into this very group (a pool
-    // reclamation drops the node's links, which can take other counts to
-    // zero). Latch against recursive and concurrent scans and move the
-    // work list out so such retires land in a fresh vector instead of
-    // invalidating our iteration; anything new is picked up by a later
-    // scan. g.mu is held only around the vector moves, never across the
-    // callbacks — a callback's cascaded retire_impl takes it again.
+void hazard_domain::scan(slot_group& g) {
+    // Move the work list out under the lock so the group holder's pushes
+    // and a concurrent drain() each scan a disjoint batch; survivors go
+    // back at the end. g.mu is never held across a deleter.
+    std::vector<retired_node> work;
     {
         std::lock_guard lk(g.mu);
-        if (g.scanning) return 0;
-        g.scanning = true;
+        work.swap(g.retired);
     }
+    if (work.empty()) return;
     LFLL_TRACE_PHASE(telemetry::trace_phase::reclaim);
     LFLL_TRACE_SPAN(telemetry::trace_op::scan, 0);
-    std::size_t total_freed = 0;
-    std::vector<retired_node> work;
-    std::vector<retired_node> keep;
+
     std::vector<void*> hazards;
-    // Loop while freeing makes progress: a reclaimed node's dropped links
-    // can retire its successors one at a time (the queue's dummy chain is
-    // exactly this shape), and each round picks up what the previous
-    // round's callbacks banked.
-    for (;;) {
-        work.clear();
-        {
-            std::lock_guard lk(g.mu);
-            work.swap(g.retired);
+    hazards.reserve(groups_.size() * slots_per_thread);
+    std::size_t occupied_groups = 0;
+    for (const auto& grp : groups_) {
+        const std::size_t before = hazards.size();
+        for (const auto& h : grp.hp) {
+            void* p = h.load(std::memory_order_seq_cst);
+            if (p != nullptr) hazards.push_back(p);
         }
-        if (work.empty()) break;
-
-        hazards.clear();
-        hazards.reserve(groups_.size() * slots_per_thread);
-        std::size_t occupied_groups = 0;
-        for (const auto& grp : groups_) {
-            const std::size_t before = hazards.size();
-            for (const auto& h : grp.hp) {
-                void* p = h.load(std::memory_order_seq_cst);
-                if (p != nullptr) hazards.push_back(p);
-            }
-            if (hazards.size() != before) ++occupied_groups;
-        }
-        // The scan already paid for every slot load, so occupancy is a
-        // free sample at exactly the drain boundary the ISSUE asks for.
-        occupancy_gauge().set(static_cast<std::int64_t>(hazards.size()));
-        groups_gauge().set(static_cast<std::int64_t>(occupied_groups));
-        std::sort(hazards.begin(), hazards.end());
-
-        std::size_t freed = 0;
-        keep.clear();
-        keep.reserve(work.size());
-        for (const retired_node& r : work) {
-            if (std::binary_search(hazards.begin(), hazards.end(), r.ptr)) {
-                keep.push_back(r);
-            } else {
-                if (r.fn != nullptr)
-                    r.fn(r.ctx, r.ptr);
-                else
-                    r.deleter(r.ptr);
-                retired_total_.fetch_sub(1, std::memory_order_relaxed);
-                ++freed;
-            }
-        }
-        {
-            std::lock_guard lk(g.mu);
-            g.retired.insert(g.retired.end(), keep.begin(), keep.end());
-        }
-        total_freed += freed;
-        if (freed == 0) break;
+        if (hazards.size() != before) ++occupied_groups;
     }
-    if (total_freed > 0) {
-        drained_counter().add(total_freed);
-        backlog_gauge().set(
-            static_cast<std::int64_t>(retired_total_.load(std::memory_order_relaxed)));
+    // The scan already paid for every slot load, so occupancy is a free
+    // sample at exactly the drain boundary.
+    occupancy_gauge().set(static_cast<std::int64_t>(hazards.size()));
+    groups_gauge().set(static_cast<std::int64_t>(occupied_groups));
+    std::sort(hazards.begin(), hazards.end());
+
+    std::vector<retired_node> keep;
+    for (const retired_node& r : work) {
+        if (std::binary_search(hazards.begin(), hazards.end(), r.ptr)) {
+            keep.push_back(r);
+        } else {
+            r.deleter(r.ptr);
+        }
     }
-    {
+    const std::size_t freed = work.size() - keep.size();
+    if (!keep.empty()) {
         std::lock_guard lk(g.mu);
-        g.scanning = false;
+        g.retired.insert(g.retired.end(), keep.begin(), keep.end());
     }
-    return total_freed;
+    if (freed > 0) {
+        const std::size_t left = retired_total_.fetch_sub(freed, std::memory_order_relaxed) - freed;
+        drained_counter().add(freed);
+        backlog_gauge().set(static_cast<std::int64_t>(left));
+    }
 }
 
 void hazard_domain::drain() {
-    // A reclamation callback can cascade-retire into a *different* group
-    // (the freeing thread's transient checkout), so one pass over the
-    // groups is not enough — and a cascade keeps retired_count() constant
-    // while real work happens, so progress is measured in nodes freed.
-    // Hazard-covered leftovers make a full sweep free nothing, ending the
-    // loop.
-    for (;;) {
-        std::size_t freed = 0;
-        // Scan unconditionally: peeking at g.retired without the lock
-        // would race the owner's push, and a scan of an empty group is
-        // just the latch round-trip.
-        for (auto& g : groups_) freed += scan(g);
-        if (freed == 0 || retired_count() == 0) break;
-    }
+    // Scan unconditionally: peeking at g.retired without the lock would
+    // race the owner's push, and a scan of an empty group is one lock
+    // round-trip.
+    for (auto& g : groups_) scan(g);
 }
 
 }  // namespace lfll

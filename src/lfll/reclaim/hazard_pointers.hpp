@@ -1,18 +1,11 @@
 // Hazard-pointer safe memory reclamation (Michael, 2004 style).
 //
 // Not part of the paper — the paper's answer to reclamation is reference
-// counting (§5) — but the A2 ablation asks how the Valois counted scheme
-// compares to the alternatives that later became standard, and the
-// Harris-Michael baseline list (S12) needs one of them. This is a compact,
-// fully functional domain: per-thread hazard slots, per-slot retired
-// lists, and an O(R log H) scan.
-//
-// Two client surfaces:
-//  * pin — RAII slot-group checkout with protect/retire, used by the
-//    Harris-Michael baseline (duck-type-compatible with epoch/leaky).
-//  * the group-level API (acquire_group/publish/clear_slot/retire_with),
-//    used by hazard_policy to hold a group across a whole operation and
-//    to retire with a (fn, ctx) pair that returns nodes to a node_pool.
+// counting (§5) — but the Harris-Michael baseline list (S12) needs one of
+// the schemes that later became standard. This is a compact, fully
+// functional domain: per-thread hazard slots, per-slot retired lists,
+// and an O(R log H) scan. Clients use it through `pin`, an RAII slot-group
+// checkout with protect/retire (duck-type-compatible with epoch/leaky).
 #pragma once
 
 #include <atomic>
@@ -81,30 +74,14 @@ public:
         void clear_all() noexcept;
 
         /// Hand `p` to the domain; `deleter(p)` runs once no hazard slot
-        /// protects it.
+        /// protects it. A deleter must not retire further nodes: drain()
+        /// and the destructor sweep each group once.
         void retire(void* p, void (*deleter)(void*));
 
     private:
         hazard_domain& dom_;
         int group_;
     };
-
-    // --- group-level API (policy layer) ----------------------------------
-
-    /// Claims / returns a slot group. A group's retired list stays with
-    /// the group; whoever claims it next inherits the backlog.
-    int acquire_group();
-    void release_group(int g);
-
-    /// Publish `p` in the group's hazard slot (seq_cst: must be ordered
-    /// before the caller's revalidation load and visible to any scan).
-    void publish(int group, int slot, void* p) noexcept;
-    void clear_slot(int group, int slot) noexcept;
-
-    /// Retire with a contextful callback: `fn(ctx, p)` runs once no
-    /// hazard slot protects p. May trigger a scan (which runs callbacks
-    /// for every unprotected retired node in the group).
-    void retire_with(int group, void* p, void (*fn)(void*, void*), void* ctx);
 
     /// Nodes retired but not yet freed (approximate; for tests/benches).
     std::size_t retired_count() const noexcept {
@@ -117,21 +94,17 @@ public:
 private:
     struct retired_node {
         void* ptr;
-        void (*deleter)(void*);     ///< one-arg form (pin::retire)
-        void (*fn)(void*, void*);   ///< two-arg form (retire_with); wins if set
-        void* ctx;
+        void (*deleter)(void*);
     };
 
     struct alignas(cacheline_size) slot_group {
         std::atomic<void*> hp[slots_per_thread];
-        /// Guards `retired` and `scanning`. The group holder is the only
-        /// pusher, but drain() sweeps *all* groups from whatever thread
-        /// calls it (the pool's alloc path drains on exhaustion), so the
-        /// list is not single-writer. Critical sections hold mu only for
-        /// vector moves — never across reclaim callbacks.
+        /// Guards `retired`. The group holder is the only pusher, but
+        /// drain() sweeps *all* groups from whatever thread calls it, so
+        /// the list is not single-writer. Critical sections hold mu only
+        /// for vector moves — never across deleters.
         std::mutex mu;
         std::vector<retired_node> retired;  // guarded by mu
-        bool scanning = false;              // one-scanner-per-group latch, guarded by mu
         std::atomic<int> next_free{-1};     // slot-group free list link
     };
 
@@ -149,9 +122,16 @@ private:
         return static_cast<std::uint32_t>(w >> 32);
     }
 
+    // pin's helpers. A group's retired list stays with the group;
+    // whoever claims it next inherits the backlog.
+    int acquire_group();
+    void release_group(int g);
+    /// seq_cst: must be ordered before the caller's revalidation load
+    /// and visible to any scan.
+    void publish(int group, int slot, void* p) noexcept;
+    void clear_slot(int group, int slot) noexcept;
     void retire_impl(int group, retired_node r);
-    /// Returns the number of nodes freed.
-    std::size_t scan(slot_group& g);
+    void scan(slot_group& g);
 
     std::vector<slot_group> groups_;
     // Own cache line: the slot-group free list is CAS-hammered at thread

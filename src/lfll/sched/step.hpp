@@ -18,7 +18,6 @@ enum class step_kind : std::uint8_t {
     generic = 0,     ///< untyped legacy point
     cas,             ///< between a swing's speculation and its CAS (Figs. 9-10)
     safe_read,       ///< inside SafeRead's read/increment/revalidate window (Fig. 15)
-    publish,         ///< between a hazard publish and its revalidation
     revalidate,      ///< cursor re-validation entry (Fig. 5 Update)
     back_link,       ///< between the unlink CAS and back_link publication (Fig. 10 line 6)
     release,         ///< before a Release's decrement (Fig. 16)
@@ -45,14 +44,13 @@ enum class step_kind : std::uint8_t {
                      ///< (target incarnation loaded, link not yet re-read)
 };
 
-inline constexpr int step_kind_count = 21;
+inline constexpr int step_kind_count = 20;
 
 constexpr const char* step_name(step_kind k) noexcept {
     switch (k) {
         case step_kind::generic:    return "generic";
         case step_kind::cas:        return "cas";
         case step_kind::safe_read:  return "safe_read";
-        case step_kind::publish:    return "publish";
         case step_kind::revalidate: return "revalidate";
         case step_kind::back_link:  return "back_link";
         case step_kind::release:    return "release";

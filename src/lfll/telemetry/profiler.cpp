@@ -155,17 +155,16 @@ counter& slow_counter() {
     return c;
 }
 
-void sample_health(std::int64_t out[4]) {
-    static const std::array<gauge*, 4> g = [] {
+void sample_health(std::int64_t out[health_count]) {
+    static const std::array<gauge*, health_count> g = [] {
         auto& reg = registry::global();
-        return std::array<gauge*, 4>{
-            &reg.get_gauge("lfll_retired_backlog", "policy=\"hazard\""),
+        return std::array<gauge*, health_count>{
             &reg.get_gauge("lfll_retired_backlog", "policy=\"epoch\""),
             &reg.get_gauge("lfll_free_list_depth", "policy=\"valois_refcount\""),
             &reg.get_gauge("lfll_epoch_lag", "policy=\"epoch\""),
         };
     }();
-    for (int i = 0; i < 4; ++i) out[i] = g[static_cast<std::size_t>(i)]->value();
+    for (int i = 0; i < health_count; ++i) out[i] = g[static_cast<std::size_t>(i)]->value();
 }
 
 }  // namespace detail
@@ -188,8 +187,7 @@ void publish() {
 }
 
 void append_slow_ops_jsonl(std::string& out, std::uint64_t& cursor) {
-    static const char* health_names[4] = {
-        "retired_backlog_hazard",
+    static const char* health_names[health_count] = {
         "retired_backlog_epoch",
         "free_list_depth_refcount",
         "epoch_lag",
@@ -211,7 +209,7 @@ void append_slow_ops_jsonl(std::string& out, std::uint64_t& cursor) {
             out += buf;
         }
         out += "},\"health\":{";
-        for (int i = 0; i < 4; ++i) {
+        for (int i = 0; i < health_count; ++i) {
             std::snprintf(buf, sizeof buf, "%s\"%s\":%lld", i == 0 ? "" : ",",
                           health_names[i], static_cast<long long>(r.health[i]));
             out += buf;

@@ -74,6 +74,9 @@ enum class phase : std::uint8_t {
 };
 inline constexpr int phase_count = 7;
 
+/// Reclamation-health gauges snapshotted into every slow-op record.
+inline constexpr int health_count = 3;
+
 constexpr const char* phase_name(phase p) noexcept {
     switch (p) {
         case phase::traverse:     return "traverse";
@@ -174,7 +177,7 @@ histogram& phase_hist(phase p);
 histogram& op_hist(trace_op op);
 counter& sampled_counter();
 counter& slow_counter();
-void sample_health(std::int64_t out[4]);
+void sample_health(std::int64_t out[health_count]);
 
 }  // namespace detail
 
@@ -301,9 +304,9 @@ struct slow_op_record {
     std::uint64_t cas_failures = 0;
     std::uint64_t phase_ns[phase_count] = {};
     std::int64_t shard = -1;
-    /// retired_backlog{hazard}, retired_backlog{epoch},
-    /// free_list_depth{valois_refcount}, epoch_lag{epoch}.
-    std::int64_t health[4] = {};
+    /// retired_backlog{epoch}, free_list_depth{valois_refcount},
+    /// epoch_lag{epoch}.
+    std::int64_t health[health_count] = {};
     std::uint32_t tid = 0;
     std::uint16_t op = 0;  ///< trace_op
 };
@@ -317,7 +320,7 @@ struct slow_op_record {
 class slow_op_ring {
 public:
     static constexpr std::size_t capacity = 64;  // power of two
-    static constexpr std::size_t word_count = 17;
+    static constexpr std::size_t word_count = 13 + health_count;
 
     void push(const slow_op_record& r) noexcept {
         const std::uint64_t t = head_.fetch_add(1, std::memory_order_relaxed);
@@ -332,7 +335,7 @@ public:
         w[4] = r.cas_failures;
         for (int i = 0; i < phase_count; ++i) w[5 + static_cast<std::size_t>(i)] = r.phase_ns[i];
         w[12] = static_cast<std::uint64_t>(r.shard);
-        for (int i = 0; i < 4; ++i) w[13 + static_cast<std::size_t>(i)] =
+        for (int i = 0; i < health_count; ++i) w[13 + static_cast<std::size_t>(i)] =
             static_cast<std::uint64_t>(r.health[i]);
         for (std::size_t i = 0; i < word_count; ++i)
             c.w[i].store(w[i], std::memory_order_relaxed);
@@ -365,7 +368,7 @@ public:
             for (int i = 0; i < phase_count; ++i)
                 r.phase_ns[i] = w[5 + static_cast<std::size_t>(i)];
             r.shard = static_cast<std::int64_t>(w[12]);
-            for (int i = 0; i < 4; ++i)
+            for (int i = 0; i < health_count; ++i)
                 r.health[i] = static_cast<std::int64_t>(w[13 + static_cast<std::size_t>(i)]);
             out.push_back(r);
         }

@@ -110,7 +110,7 @@ TEST(ChaosStress, PoolChurnTinyPool) {
                 n->construct_cell(t * 10000 + i);
                 if (n->value() != t * 10000 + i) corrupted.store(true);
                 n->on_reclaim();
-                pool.release(n);
+                pool.unref(n);
             }
         });
     }

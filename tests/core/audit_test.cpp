@@ -101,12 +101,12 @@ TEST(Audit, DetectsCellWithoutFlankingAux) {
     node_t* aux2 = cell1->next.load();
     node_t* cell2 = aux2->next.load();
     ASSERT_TRUE(cell2->is_cell());
-    node_t* old = cell1->next.exchange(list.pool().add_ref(cell2), std::memory_order_relaxed);
+    node_t* old = cell1->next.exchange(list.pool().ref(cell2), std::memory_order_relaxed);
     auto r = audit_list(list);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("auxiliary"), std::string::npos) << r.error;
     // Restore for clean teardown.
-    list.pool().release(cell1->next.exchange(old, std::memory_order_relaxed));
+    list.pool().unref(cell1->next.exchange(old, std::memory_order_relaxed));
 }
 
 TEST(Audit, PinnedDeletedCellAccountedViaExternalRefs) {

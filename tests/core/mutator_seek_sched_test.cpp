@@ -1,5 +1,5 @@
 // Scheduler coverage for the mutator seek (seek_while / land_seek,
-// step_kind::batch_seek) across all three reclamation policies. The
+// step_kind::batch_seek) across both reclamation policies. The
 // window under test is the landing: the seek has crossed its cells with
 // plain loads and is about to try_ref the last crossed cell and protect
 // the target; a preemption there lets churners recycle crossed nodes,
@@ -28,7 +28,6 @@
 #include "lfll/core/audit.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
 #include "lfll/telemetry/metrics.hpp"
 #include "sched_seeds.hpp"
@@ -122,12 +121,6 @@ TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Refcount) {
     }
 }
 
-TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_Hazard) {
-    for (std::uint64_t seed : {5ull, 12ull, 23ull, 38ull}) {
-        run_handoff_window<hazard_policy>(seed);
-    }
-}
-
 TEST(MutatorSeekSched, PinnedSeed_HandoffWindow_EpochCompilesOut) {
     for (std::uint64_t seed : {4ull, 9ull}) {
         run_handoff_window<epoch_policy>(seed);
@@ -160,8 +153,7 @@ failure_counts run_reclaim_before_landing(std::uint64_t seed) {
     using map_t = sorted_list_map<int, int, std::less<int>, Policy>;
     const std::uint64_t r0 = walk_failures<Policy>("lfll_traverse_restarts_total");
     const std::uint64_t f0 = walk_failures<Policy>("lfll_traverse_fallbacks_total");
-    // Tiny pool without magazines, and a drain after every erase: under
-    // hazards too, not only under refcount's immediate reclamation, the
+    // Tiny pool without magazines, and a drain after every erase, so the
     // erased cells are reclaimed and recycled while the seeker walks.
     typename map_t::list_type::pool_type pool(pool_config{24, 0});
     map_t map(pool);
@@ -213,14 +205,9 @@ TEST(MutatorSeekSched, PinnedSeed_ReclaimBeforeLanding_Refcount) {
     expect_restart_and_fallback<valois_refcount>({2, 40, 54, 140});
 }
 
-TEST(MutatorSeekSched, PinnedSeed_ReclaimBeforeLanding_Hazard) {
-    expect_restart_and_fallback<hazard_policy>({248, 273, 842, 1077});
-}
-
 TEST(MutatorSeekSched, SeedSweep_ReclaimBeforeLanding) {
     for (std::uint64_t seed : lfll_test::sweep_seeds(8)) {
         run_reclaim_before_landing<valois_refcount>(seed);
-        run_reclaim_before_landing<hazard_policy>(seed);
         run_reclaim_before_landing<epoch_policy>(seed);
     }
 }

@@ -17,7 +17,6 @@
 #include "lfll/core/audit.hpp"
 #include "lfll/core/list.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/sched/session.hpp"
 #include "sched_seeds.hpp"
 
@@ -215,16 +214,9 @@ TEST(TraverseFastPath, PinnedSeed_FirstTouchGap_ForEachKeepsStableKeys_Refcount)
     }
 }
 
-TEST(TraverseFastPath, PinnedSeed_FirstTouchGap_ForEachKeepsStableKeys_Hazard) {
-    for (std::uint64_t seed : {5ull, 12ull, 23ull, 38ull}) {
-        run_for_each_gap<lfll::hazard_policy>(seed);
-    }
-}
-
 TEST(TraverseFastPath, SeedSweep_FirstTouchGap) {
     for (std::uint64_t seed : lfll_test::sweep_seeds(8)) {
         run_for_each_gap<lfll::valois_refcount>(seed);
-        run_for_each_gap<lfll::hazard_policy>(seed);
     }
 }
 

@@ -1,5 +1,5 @@
 // Batched multi-op coverage (dict/batch.hpp + the maps' apply_batch)
-// across all three reclamation policies:
+// across both reclamation policies:
 //
 //   * semantics on one thread: results come back in INPUT order, same-key
 //     sub-ops resolve in submission order (stable sort), duplicate
@@ -30,7 +30,6 @@
 #include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -39,7 +38,7 @@ using namespace lfll;
 template <typename Policy>
 class MultiOpTest : public ::testing::Test {};
 
-using Policies = ::testing::Types<valois_refcount, hazard_policy, epoch_policy>;
+using Policies = ::testing::Types<valois_refcount, epoch_policy>;
 TYPED_TEST_SUITE(MultiOpTest, Policies);
 
 template <typename Map>

@@ -2,7 +2,7 @@
 // versioned links + victim hand-off, core/rq.hpp): bounds semantics,
 // tombstone exclusion, revive (replace-cell in the BST), concurrent
 // snapshot invariants, and §5 audits proving the layer leaks no counted
-// references — typed over all three memory policies.
+// references — typed over both memory policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "test_scale.hpp"
 
 namespace {
@@ -46,7 +45,7 @@ audit_report audit_skip(skip_map<P>& m) {
 template <typename P>
 struct RangeQuery : ::testing::Test {};
 
-using Policies = ::testing::Types<valois_refcount, hazard_policy, epoch_policy>;
+using Policies = ::testing::Types<valois_refcount, epoch_policy>;
 TYPED_TEST_SUITE(RangeQuery, Policies);
 
 // --------------------------------------------------------------- sorted map

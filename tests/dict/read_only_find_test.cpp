@@ -13,7 +13,6 @@
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/instrument.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -51,7 +50,7 @@ void expect_finds_write_nothing(Map& map, int n) {
 template <typename Policy>
 class ReadsDontWrite : public ::testing::Test {};
 
-using counting_policies = ::testing::Types<valois_refcount, hazard_policy>;
+using counting_policies = ::testing::Types<valois_refcount>;
 TYPED_TEST_SUITE(ReadsDontWrite, counting_policies);
 
 TYPED_TEST(ReadsDontWrite, SortedListMapFindTakesNoReference) {

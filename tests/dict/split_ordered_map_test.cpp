@@ -1,5 +1,5 @@
 // Split-ordered resizable hash map: semantics, lazy splitting, resize
-// under load, and the §5 counted-reference audit — typed over all three
+// under load, and the §5 counted-reference audit — typed over both
 // memory policies, since bucket dummies and shortcut references must
 // stay sound under counting AND deferred reclamation.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "lfll/dict/sharded_kv.hpp"
 #include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "test_scale.hpp"
 
 namespace {
@@ -41,7 +40,7 @@ void audit_map(so_map<P>& m) {
 template <typename P>
 struct SplitOrderedMap : ::testing::Test {};
 
-using Policies = ::testing::Types<valois_refcount, hazard_policy, epoch_policy>;
+using Policies = ::testing::Types<valois_refcount, epoch_policy>;
 TYPED_TEST_SUITE(SplitOrderedMap, Policies);
 
 TYPED_TEST(SplitOrderedMap, InsertFindErase) {

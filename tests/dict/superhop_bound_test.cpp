@@ -13,7 +13,6 @@
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/primitives/instrument.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 
 namespace {
 
@@ -54,7 +53,7 @@ void expect_bounded(Map& map) {
 template <typename Policy>
 class SuperhopBound : public ::testing::Test {};
 
-using counting_policies = ::testing::Types<valois_refcount, hazard_policy>;
+using counting_policies = ::testing::Types<valois_refcount>;
 TYPED_TEST_SUITE(SuperhopBound, counting_policies);
 
 TYPED_TEST(SuperhopBound, SortedListMapOpsReadOnlyTheCellsTheyNeed) {

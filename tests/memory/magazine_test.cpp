@@ -1,5 +1,5 @@
 // The magazine fast path in front of Alloc/Reclaim (Figs. 17-18), typed
-// over all three reclamation policies: churn accounting, depot cycling,
+// over both reclamation policies: churn accounting, depot cycling,
 // thread-exit flush, the on/off toggles, and the telemetry counters.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "lfll/memory/node_pool.hpp"
 #include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/telemetry/metrics.hpp"
 
 namespace {
@@ -34,8 +33,7 @@ public:
     }
 };
 
-using AllPolicies =
-    ::testing::Types<valois_refcount, hazard_policy, epoch_policy>;
+using AllPolicies = ::testing::Types<valois_refcount, epoch_policy>;
 TYPED_TEST_SUITE(Magazine, AllPolicies, PolicyNames);
 
 template <typename Policy>
@@ -215,10 +213,10 @@ TEST(MagazineToggle, GlobalListStillLIFOWhenOff) {
     cfg.magazines = 0;
     node_pool<list_node<int>> pool(cfg);
     auto* a = pool.alloc();
-    pool.release(a);
+    pool.unref(a);
     auto* b = pool.alloc();
     EXPECT_EQ(a, b);
-    pool.release(b);
+    pool.unref(b);
 }
 
 }  // namespace

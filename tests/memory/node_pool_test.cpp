@@ -39,17 +39,17 @@ TEST(NodePool, ReleaseReturnsNodeToFreeList) {
     const std::size_t before = pool.free_count();
     node_t* n = pool.alloc();
     EXPECT_EQ(pool.free_count(), before - 1);
-    pool.release(n);
+    pool.unref(n);
     EXPECT_EQ(pool.free_count(), before);
 }
 
 TEST(NodePool, FreeListIsLIFO) {
     pool_t pool(8);
     node_t* a = pool.alloc();
-    pool.release(a);
+    pool.unref(a);
     node_t* b = pool.alloc();
     EXPECT_EQ(a, b) << "free list should behave as a stack";
-    pool.release(b);
+    pool.unref(b);
 }
 
 TEST(NodePool, GrowsWhenExhausted) {
@@ -59,36 +59,36 @@ TEST(NodePool, GrowsWhenExhausted) {
     EXPECT_GE(pool.capacity(), 100u);
     std::set<node_t*> uniq(held.begin(), held.end());
     EXPECT_EQ(uniq.size(), held.size());
-    for (node_t* n : held) pool.release(n);
+    for (node_t* n : held) pool.unref(n);
     EXPECT_EQ(pool.free_count(), pool.capacity());
 }
 
 TEST(NodePool, AddRefPinsNodeAcrossRelease) {
     pool_t pool(4);
     node_t* n = pool.alloc();
-    pool.add_ref(n);
+    pool.ref(n);
     const std::size_t free_before = pool.free_count();
-    pool.release(n);  // still one reference: must not be reclaimed
+    pool.unref(n);  // still one reference: must not be reclaimed
     EXPECT_EQ(pool.free_count(), free_before);
-    pool.release(n);
+    pool.unref(n);
     EXPECT_EQ(pool.free_count(), free_before + 1);
 }
 
 TEST(NodePool, SafeReadOfNullLocationReturnsNull) {
     pool_t pool(4);
     std::atomic<node_t*> loc{nullptr};
-    EXPECT_EQ(pool.safe_read(loc), nullptr);
+    EXPECT_EQ(pool.protect(loc), nullptr);
 }
 
 TEST(NodePool, SafeReadAcquiresReference) {
     pool_t pool(4);
     node_t* n = pool.alloc();
     std::atomic<node_t*> loc{n};
-    node_t* r = pool.safe_read(loc);
+    node_t* r = pool.protect(loc);
     EXPECT_EQ(r, n);
     EXPECT_EQ(refct_count(n->refct.load()), 2u);
-    pool.release(r);
-    pool.release(n);
+    pool.unref(r);
+    pool.unref(n);
 }
 
 TEST(NodePool, ReclaimCascadesThroughLinks) {
@@ -103,7 +103,7 @@ TEST(NodePool, ReclaimCascadesThroughLinks) {
     aux->next.store(aux2, std::memory_order_relaxed);
     cell->next.store(aux, std::memory_order_relaxed);
     const std::size_t free_before = pool.free_count();
-    pool.release(cell);
+    pool.unref(cell);
     EXPECT_EQ(pool.free_count(), free_before + 3);
 }
 
@@ -120,7 +120,7 @@ TEST(NodePool, CascadeHandlesLongChains) {
         cur->next.store(n, std::memory_order_relaxed);  // transfer reference
         cur = n;
     }
-    pool.release(head);
+    pool.unref(head);
     EXPECT_EQ(pool.free_count(), pool.capacity());
 }
 
@@ -135,12 +135,12 @@ TEST(NodePool, PayloadDestroyedExactlyOnceOnReclaim) {
     auto* n = pool.alloc();
     n->construct_cell();
     EXPECT_EQ(live.load(), 1);
-    pool.release(n);
+    pool.unref(n);
     EXPECT_EQ(live.load(), 0);
     // Reuse must not double-destroy.
     auto* m = pool.alloc();
     EXPECT_EQ(live.load(), 0);
-    pool.release(m);
+    pool.unref(m);
     EXPECT_EQ(live.load(), 0);
 }
 
@@ -161,7 +161,7 @@ TEST(NodePool, ConcurrentChurnIsLinear) {
                 n->construct_cell(t * kIters + i);
                 if (n->value() != t * kIters + i) corrupted.store(true);
                 n->on_reclaim();  // manual payload teardown for the test
-                pool.release(n);
+                pool.unref(n);
             }
         });
     }
@@ -187,11 +187,11 @@ TEST(NodePool, FreeListSurvivesAdversarialChurn) {
                 if (held.size() < 3 && rng.next() % 2 == 0) {
                     held.push_back(pool.alloc());
                 } else if (!held.empty()) {
-                    pool.release(held.back());
+                    pool.unref(held.back());
                     held.pop_back();
                 }
             }
-            for (node_t* n : held) pool.release(n);
+            for (node_t* n : held) pool.unref(n);
         });
     }
     for (auto& t : ts) t.join();

@@ -53,13 +53,13 @@ TEST_P(PoolSweep, ChurnPreservesInvariants) {
                     held.pop_back();
                     if (n->value() != t) overlap.store(true);
                     n->on_reclaim();
-                    pool.release(n);
+                    pool.unref(n);
                 }
             }
             for (node_t* n : held) {
                 if (n->value() != t) overlap.store(true);
                 n->on_reclaim();
-                pool.release(n);
+                pool.unref(n);
             }
         });
     }

@@ -251,7 +251,8 @@ slow_op_record make_record(std::uint64_t marker) {
     for (int i = 0; i < phase_count; ++i)
         r.phase_ns[i] = marker + static_cast<std::uint64_t>(i);
     r.shard = static_cast<std::int64_t>(marker % 4);
-    for (int i = 0; i < 4; ++i) r.health[i] = static_cast<std::int64_t>(marker + 100 + i);
+    for (int i = 0; i < health_count; ++i)
+        r.health[i] = static_cast<std::int64_t>(marker + 100 + i);
     r.tid = static_cast<std::uint32_t>(marker % 31);
     r.op = static_cast<std::uint16_t>(marker % 11);
     return r;
@@ -265,7 +266,7 @@ void expect_consistent(const slow_op_record& r) {
     for (int i = 0; i < phase_count; ++i)
         EXPECT_EQ(r.phase_ns[i], marker + static_cast<std::uint64_t>(i));
     EXPECT_EQ(r.shard, static_cast<std::int64_t>(marker % 4));
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < health_count; ++i)
         EXPECT_EQ(r.health[i], static_cast<std::int64_t>(marker + 100 + i));
     EXPECT_EQ(r.tid, static_cast<std::uint32_t>(marker % 31));
     EXPECT_EQ(r.op, static_cast<std::uint16_t>(marker % 11));

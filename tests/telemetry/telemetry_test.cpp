@@ -1,5 +1,5 @@
 // Telemetry subsystem: registry primitives, exporter formats, the trace
-// round-trip, and the policy-health gauges typed over all three memory
+// round-trip, and the policy-health gauges typed over both memory
 // policies.
 #include <gtest/gtest.h>
 
@@ -9,11 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "lfll/baseline/harris_michael_list.hpp"
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/memory/policy.hpp"
 #include "lfll/primitives/instrument.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
-#include "lfll/reclaim/hazard_policy.hpp"
 #include "lfll/telemetry/exporter.hpp"
 #include "lfll/telemetry/metrics.hpp"
 #include "lfll/telemetry/trace.hpp"
@@ -289,8 +289,7 @@ public:
     }
 };
 
-using AllPolicies =
-    ::testing::Types<lfll::valois_refcount, lfll::hazard_policy, lfll::epoch_policy>;
+using AllPolicies = ::testing::Types<lfll::valois_refcount, lfll::epoch_policy>;
 TYPED_TEST_SUITE(PolicyTelemetry, AllPolicies, PolicyNames);
 
 template <typename Policy>
@@ -346,9 +345,9 @@ TYPED_TEST(PolicyTelemetry, RetiredBacklogGaugeTracksDrain) {
 
     const std::int64_t after_erase = backlog.value();
     EXPECT_GE(after_erase, 0);
-    if constexpr (TypeParam::deferred) {
-        // Deferred policies bank retired nodes; 64 erasures must have
-        // left a visible backlog sample.
+    if constexpr (!TypeParam::counted_traversal) {
+        // Deferred reclamation banks retired nodes; 64 erasures must
+        // have left a visible backlog sample.
         EXPECT_GT(after_erase, 0);
     }
 
@@ -376,12 +375,14 @@ TYPED_TEST(PolicyTelemetry, FreeListDepthGaugeSampled) {
 
 TEST(PolicyGauges, EpochLagAndHazardOccupancyRegistered) {
     auto& reg = registry::global();
-    // Exercise both deferred policies so their domain gauges exist.
+    // Exercise both deferred domains so their gauges exist: hazard
+    // pointers through the Harris-Michael baseline, epochs through the
+    // Valois stack.
     {
-        lfll::sorted_list_map<int, int, std::less<int>, lfll::hazard_policy> m(256);
-        for (int i = 0; i < 32; ++i) m.insert(i, i);
-        for (int i = 0; i < 32; ++i) m.erase(i);
-        m.list().pool().drain_retired();
+        lfll::harris_michael_list<int, int> l;
+        for (int i = 0; i < 32; ++i) l.insert(i, i);
+        for (int i = 0; i < 32; ++i) l.erase(i);
+        l.domain().drain();
     }
     {
         lfll::sorted_list_map<int, int, std::less<int>, lfll::epoch_policy> m(256);

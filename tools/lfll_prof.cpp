@@ -220,9 +220,7 @@ void render_slow_ops(const report_input& in) {
             const double ns = num(("phases." + std::string(p)).c_str());
             if (ns > 0) std::printf(" %s=%.0fns", p, ns);
         }
-        std::printf("\n        health: retired(hazard)=%.0f retired(epoch)=%.0f "
-                    "free_list=%.0f epoch_lag=%.0f\n",
-                    num("health.retired_backlog_hazard"),
+        std::printf("\n        health: retired(epoch)=%.0f free_list=%.0f epoch_lag=%.0f\n",
                     num("health.retired_backlog_epoch"),
                     num("health.free_list_depth_refcount"), num("health.epoch_lag"));
     }
@@ -273,7 +271,7 @@ int run_selftest() {
         "\"shard\":2,\"total_ns\":150000,\"cas_failures\":4,\"phases\":{"
         "\"traverse\":90000,\"cas_retry\":50000,\"safe_read\":0,\"alloc\":10000,"
         "\"reclaim\":0,\"backoff\":0,\"bucket_split\":0},\"health\":{"
-        "\"retired_backlog_hazard\":0,\"retired_backlog_epoch\":64,"
+        "\"retired_backlog_epoch\":64,"
         "\"free_list_depth_refcount\":512,\"epoch_lag\":1}}}",
     };
     report_input in;

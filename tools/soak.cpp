@@ -1,7 +1,7 @@
 // soak: long-running randomized reliability driver.
 //
 // Runs the full mixed workload against every structure in rotation —
-// including the sorted-list dictionary under all three memory policies —
+// including the sorted-list dictionary under both memory policies —
 // with per-round ledger verification and quiescent audits, until the
 // time budget expires. Intended for hours-long burn-in runs that CI's
 // short test suite cannot provide:
@@ -95,9 +95,9 @@ void ledger_round(std::uint64_t seed, const round_config& cfg, Insert&& ins, Era
 }
 
 /// Mixed run + quiescent audit of the sorted-list dictionary under one
-/// memory policy. Running all three per cycle keeps every policy's
-/// reclamation gauges (retired backlog, epoch lag, hazard occupancy)
-/// live in the telemetry stream.
+/// memory policy. Running both per cycle keeps every policy's
+/// reclamation gauges (retired backlog, free-list depth, epoch lag) live
+/// in the telemetry stream.
 template <typename Policy>
 void dict_round(std::uint64_t seed, const round_config& cfg) {
     sorted_list_map<int, int, std::less<int>, Policy> m(2048);
@@ -113,7 +113,6 @@ void dict_round(std::uint64_t seed, const round_config& cfg) {
 
 void one_cycle(std::uint64_t seed, const round_config& cfg) {
     dict_round<valois_refcount>(seed, cfg);
-    dict_round<hazard_policy>(seed + 5, cfg);
     dict_round<epoch_policy>(seed + 6, cfg);
     {
         hash_map<int, int> m(32, 16);
@@ -194,13 +193,11 @@ void ticker_loop(const std::atomic<bool>& done, const std::atomic<long>& cycles)
         const double rate =
             dt > 0 ? static_cast<double>(ops - last_ops) / dt / 1e6 : 0.0;
         std::printf(
-            "soak %5.0fs | %ld cycles | %6.2f Mops/s | backlog v/h/e "
-            "%lld/%lld/%lld | free %lld | epoch lag %lld | hp slots %lld\n",
+            "soak %5.0fs | %ld cycles | %6.2f Mops/s | backlog v/e %lld/%lld | "
+            "free %lld | epoch lag %lld | hp slots %lld\n",
             std::chrono::duration<double>(now - start).count(), cycles.load(), rate,
             static_cast<long long>(
                 gauge_value("lfll_retired_backlog", "policy=\"valois_refcount\"")),
-            static_cast<long long>(
-                gauge_value("lfll_retired_backlog", "policy=\"hazard\"")),
             static_cast<long long>(
                 gauge_value("lfll_retired_backlog", "policy=\"epoch\"")),
             static_cast<long long>(

@@ -6,6 +6,7 @@
 // cell's measurement window; LFLL_BENCH_CSV switches output to CSV.
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -90,6 +91,25 @@ void sweep_threads(table& t, const std::string& name, const op_mix& mix,
                              6),
                    fmt_fixed(res.per_op(res.counters.cas_failures), 6)});
     }
+}
+
+/// Median and interquartile range of a few repetitions, interpolating
+/// linearly between order statistics.
+struct spread {
+    double median = 0;
+    double iqr = 0;
+};
+
+inline spread median_iqr(std::vector<double> v) {
+    if (v.empty()) return {};
+    std::sort(v.begin(), v.end());
+    const auto quantile = [&](double q) {
+        const double pos = q * static_cast<double>(v.size() - 1);
+        const auto lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return {quantile(0.5), quantile(0.75) - quantile(0.25)};
 }
 
 inline std::string mix_name(const op_mix& m) {

@@ -1,4 +1,4 @@
-// E12 — batched multi-ops and the request pipeline.
+// E12 — batched multi-ops, per map and through the KV service.
 //
 // Three views:
 //  1. sorted_list_map batch sweep ×2 policies: per-call find vs multi_get
@@ -10,12 +10,12 @@
 //     are already O(load factor), so bucket-binned batching only buys
 //     locality within a bucket run — the sweep shows where that saturates
 //     (and where batching costs more than it saves).
-//  3. kv service A/B: one-op-per-call clients vs pipelined clients
-//     (request_pipeline submit windows) over sorted-list shards — where
-//     traversal amortization dominates — and over split-ordered shards,
-//     where the ring handoff is the whole story. Throughput counts
-//     LOGICAL ops in both modes (kv_report.ops_per_request records the
-//     submission shape).
+//  3. kv service A/B: one-op-per-call clients vs client-batched clients
+//     (each fills a W-op window and calls sharded_kv::apply_batch) over
+//     sorted-list shards — where traversal amortization dominates — and
+//     over split-ordered shards, where per-call lookups are already
+//     O(1). Throughput counts LOGICAL ops in both modes
+//     (kv_report.ops_per_request records the submission shape).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +28,6 @@
 #include "lfll/dict/sorted_list_map.hpp"
 #include "lfll/dict/split_ordered_map.hpp"
 #include "lfll/harness/kv_service.hpp"
-#include "lfll/harness/pipeline.hpp"
 #include "lfll/harness/runner.hpp"
 #include "lfll/primitives/rng.hpp"
 #include "lfll/reclaim/epoch_policy.hpp"
@@ -170,7 +169,7 @@ void sweep_split_ordered(int millis) {
          t);
 }
 
-// --- E12.3: kv service, direct vs pipelined ------------------------------
+// --- E12.3: kv service, direct vs client-batched -------------------------
 
 void add_kv_row(table& t, const std::string& store, const std::string& mode,
                 const kv_report& rep) {
@@ -179,19 +178,18 @@ void add_kv_row(table& t, const std::string& store, const std::string& mode,
                fmt_fixed(rep.ops_per_request, 0)});
 }
 
-void kv_direct_vs_pipelined(int millis) {
+void kv_direct_vs_batched(int millis) {
     table t({"store", "mode", "ops/s", "p50 ns", "p99 ns", "ops/req"});
     {
         // Sorted-list shards: every direct lookup is an O(keys/shard)
         // walk, so this is where batching pays hardest. Saturation rows
         // show the throughput win; p99 is NOT comparable between those
-        // rows (the pipelined run keeps clients*window requests in
-        // flight vs clients for direct, so Little's law alone inflates
-        // its latency ~window-fold). The equal-load comparison the CI
-        // batch-smoke job gates (pipelined p99 <= 1.2x direct p99) is
-        // the paced pair: both modes offered 75% of direct's measured
-        // saturation throughput, where p99 prices the serving path —
-        // one O(n) walk vs a shared sorted pass — not the queue depth.
+        // rows (a batched call carries window ops vs one for direct, so
+        // its latency grows ~window-fold by construction). The equal-load
+        // comparison the CI batch-smoke job gates (batched p99 <= 1.2x
+        // direct p99) is the paced pair: both modes offered 75% of
+        // direct's measured saturation throughput, where p99 prices the
+        // serving path — one O(n) walk vs a shared sorted pass.
         using sorted_store = sharded_kv<sorted_list_map<int, int>>;
         sorted_store store(4, [](std::size_t) {
             return std::make_unique<sorted_list_map<int, int>>(8192);
@@ -205,9 +203,8 @@ void kv_direct_vs_pipelined(int millis) {
         const kv_report direct = run_kv_service(store, sc);
         add_kv_row(t, "sorted-kv", "direct", direct);
         for (const std::size_t w : {std::size_t{8}, std::size_t{32}}) {
-            sc.pipeline_window = w;
-            sc.pipeline.batch_max = w;
-            add_kv_row(t, "sorted-kv", "pipe-w" + std::to_string(w),
+            sc.batch_window = w;
+            add_kv_row(t, "sorted-kv", "batch-w" + std::to_string(w),
                        run_kv_service(store, sc));
         }
         // 75% of direct's measured capacity: high enough that direct's
@@ -218,17 +215,16 @@ void kv_direct_vs_pipelined(int millis) {
         sc.pace_ops_per_sec = pace;
         sc.sample_shift = 0;   // paced load is light; sample every request
         sc.millis = 2 * millis;  // and run longer, so p99 has sample mass
-        sc.pipeline_window = 0;
+        sc.batch_window = 0;
         add_kv_row(t, "sorted-kv", "direct-paced", run_kv_service(store, sc));
-        sc.pipeline_window = 32;
-        sc.pipeline.batch_max = 32;
-        add_kv_row(t, "sorted-kv", "pipe-paced", run_kv_service(store, sc));
+        sc.batch_window = 32;
+        add_kv_row(t, "sorted-kv", "batch-paced", run_kv_service(store, sc));
         sc.pace_ops_per_sec = 0;
     }
     {
         // Split-ordered shards: per-call lookups are already O(1), so
-        // this pair prices the pipeline machinery itself (ring hop,
-        // futex completion) when there is no traversal to amortize.
+        // this pair prices the batch machinery itself (shard sort, gather
+        // and scatter) when there is little traversal to amortize.
         using so_store = sharded_kv<split_ordered_map<int, int>>;
         split_ordered_config cfg;
         cfg.initial_buckets = 64;
@@ -240,11 +236,10 @@ void kv_direct_vs_pipelined(int millis) {
         sc.key_range = 1 << 16;
         sc.mix = request_mix::zipf99();
         add_kv_row(t, "so-kv", "direct", run_kv_service(store, sc));
-        sc.pipeline_window = 32;
-        sc.pipeline.batch_max = 32;
-        add_kv_row(t, "so-kv", "pipe-w32", run_kv_service(store, sc));
+        sc.batch_window = 32;
+        add_kv_row(t, "so-kv", "batch-w32", run_kv_service(store, sc));
     }
-    emit("E12.3 kv service: direct vs pipelined (4 clients)", t);
+    emit("E12.3 kv service: direct vs client-batched (4 clients)", t);
 }
 
 }  // namespace
@@ -254,6 +249,6 @@ int main() {
     const int millis = bench_millis(150);
     sweep_sorted(millis);
     sweep_split_ordered(millis);
-    kv_direct_vs_pipelined(millis);
+    kv_direct_vs_batched(millis);
     return 0;
 }

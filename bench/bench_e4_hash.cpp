@@ -13,8 +13,10 @@
 //  4. (E4c) split-ordered find cost per reclamation policy at 1 thread,
 //     on maps several times larger than L2, where every node a find
 //     reads past its stop cell costs a miss; such over-reads show as
-//     hops/find above cells/find.
+//     hops/find above cells/find. Each row is the median (and IQR) of
+//     five timing windows taken in alternating policy order.
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "lfll/baseline/locked_hash_map.hpp"
@@ -135,26 +137,64 @@ void fixed_vs_resizable(std::uint64_t keys, int threads, int millis) {
          t);
 }
 
+/// Timing windows per E4c row. One 150 ms window per policy cannot
+/// separate policies closer than ~40% on a shared host, so each row is
+/// the median of several windows whose policy order alternates.
+constexpr int kE4cReps = 5;
+
+/// One E4c row: a prefilled map under one policy and its per-window
+/// ns/find samples.
 template <typename Policy>
-void so_find_row(table& t, std::uint64_t entries, int millis) {
+struct so_find_cell {
     split_ordered_map<int, int, std::hash<int>, std::less<int>, Policy> map;
-    prefill(map, 2 * entries);
-    auto res = run_timed(1, millis, [&](int tid, std::atomic<bool>& stop) {
-        return dict_worker(map, op_mix{100, 0, 0}, 2 * entries, tid, stop);
-    });
-    t.add_row({Policy::name, std::to_string(entries), std::to_string(map.bucket_count()),
-               fmt_fixed(1e9 / res.ops_per_sec, 0),
-               fmt_fixed(res.per_op(res.counters.traverse_hops), 2),
-               fmt_fixed(res.per_op(res.counters.cells_traversed), 2)});
-}
+    std::uint64_t entries;
+    std::vector<double> ns_per_find;
+    std::uint64_t ops = 0, hops = 0, cells = 0;
+
+    explicit so_find_cell(std::uint64_t n) : entries(n) { prefill(map, 2 * n); }
+
+    void measure(int millis) {
+        auto res = run_timed(1, millis, [&](int tid, std::atomic<bool>& stop) {
+            return dict_worker(map, op_mix{100, 0, 0}, 2 * entries, tid, stop);
+        });
+        ns_per_find.push_back(1e9 / res.ops_per_sec);
+        ops += res.total_ops;
+        hops += res.counters.traverse_hops;
+        cells += res.counters.cells_traversed;
+    }
+
+    void add_row(table& t) const {
+        const spread ns = median_iqr(ns_per_find);
+        const auto per_op = [&](std::uint64_t c) {
+            return ops == 0 ? 0.0 : static_cast<double>(c) / static_cast<double>(ops);
+        };
+        t.add_row({Policy::name, std::to_string(entries), std::to_string(map.bucket_count()),
+                   fmt_fixed(ns.median, 0), fmt_fixed(ns.iqr, 0), fmt_fixed(per_op(hops), 2),
+                   fmt_fixed(per_op(cells), 2)});
+    }
+};
 
 void so_find_by_policy(int millis) {
-    table t({"policy", "entries", "buckets", "ns/find", "hops/find", "cells/find"});
+    table t({"policy", "entries", "buckets", "ns/find", "iqr ns", "hops/find",
+             "cells/find"});
     for (std::uint64_t entries : {25'000u, 100'000u}) {
-        so_find_row<valois_refcount>(t, entries, millis);
-        so_find_row<epoch_policy>(t, entries, millis);
+        so_find_cell<valois_refcount> counted(entries);
+        so_find_cell<epoch_policy> epochs(entries);
+        for (int rep = 0; rep < kE4cReps; ++rep) {
+            if (rep % 2 == 0) {
+                counted.measure(millis);
+                epochs.measure(millis);
+            } else {
+                epochs.measure(millis);
+                counted.measure(millis);
+            }
+        }
+        counted.add_row(t);
+        epochs.add_row(t);
     }
-    emit("E4c split-ordered find by policy, 1 thread, uniform hit/miss 50/50", t);
+    emit("E4c split-ordered find by policy, 1 thread, uniform hit/miss 50/50, median of " +
+             std::to_string(kE4cReps) + " alternating reps",
+         t);
 }
 
 }  // namespace

@@ -33,8 +33,8 @@
 #include <thread>
 #include <vector>
 
+#include "lfll/dict/batch.hpp"
 #include "lfll/harness/latency.hpp"
-#include "lfll/harness/pipeline.hpp"
 #include "lfll/harness/runner.hpp"
 #include "lfll/harness/stats.hpp"
 #include "lfll/harness/workload.hpp"
@@ -54,18 +54,15 @@ struct kv_service_config {
     std::uint32_t sample_shift = 4;
     /// Per-shard gauge sampling cadence while clients run.
     int telemetry_interval_ms = 25;
-    /// Pipelined mode: 0 (default) = the classic one-op-per-call path;
-    /// W > 0 = each client submits W async requests through a
-    /// request_pipeline and then completes the window, so shard
-    /// executors see real batches. Ignored (falls back to one-op-per-
-    /// call) when the store's shard maps lack apply_batch.
-    std::size_t pipeline_window = 0;
-    /// Executor knobs for pipelined mode (batch_max / batch_wait_us /
-    /// ring capacity; defaults follow LFLL_BATCH_MAX / LFLL_BATCH_WAIT_US).
-    pipeline_config pipeline{};
+    /// Client-batched mode: 0 (default) = the classic one-op-per-call
+    /// path; W > 0 = each client fills a W-op window and serves it with
+    /// one store.apply_batch call (a sorted cursor pass per shard run).
+    /// Ignored (falls back to one-op-per-call) when the store's shard
+    /// maps lack apply_batch.
+    std::size_t batch_window = 0;
     /// 0 = closed-loop saturation (clients issue as fast as the store
     /// answers). >0 = open-loop: clients collectively pace to this many
-    /// logical ops/s, sleeping between requests (or submit windows), so
+    /// logical ops/s, sleeping between requests (or batch windows), so
     /// latency is measured at EQUAL OFFERED LOAD across submission modes
     /// — at saturation, p99 only reflects how many requests each mode
     /// keeps in flight (Little's law), not how well it serves them.
@@ -83,7 +80,7 @@ struct kv_report {
     std::uint64_t dummies = 0;       ///< buckets lazily initialized
     std::size_t size_after = 0;      ///< live entries at quiescence
     /// Logical ops per client call into the store: 1.0 on the classic
-    /// path, the submit window in pipelined mode. run.total_ops counts
+    /// path, the batch window in client-batched mode. run.total_ops counts
     /// LOGICAL ops in both modes, so throughput rows divide out
     /// comparably; this field records how they were submitted.
     double ops_per_request = 1.0;
@@ -268,67 +265,49 @@ kv_report run_kv_service(Store& store, const kv_service_config& cfg) {
         return ops;
     };
 
-    // Pipelined mode needs shard maps with apply_batch; stores without it
-    // (the fixed hash_map A/B rows) transparently keep the classic path.
+    // Client-batched mode needs shard maps with apply_batch; stores
+    // without it (the fixed hash_map A/B rows) keep the classic path.
+    using mapped_type = typename Store::mapped_type;
     constexpr bool batchable = requires {
         std::declval<Store&>().shard_at(std::size_t{0}).apply_batch(
-            static_cast<const batch_op<key_type, typename Store::mapped_type>*>(
-                nullptr),
-            std::size_t{0},
-            static_cast<batch_result<typename Store::mapped_type>*>(nullptr));
+            static_cast<const batch_op<key_type, mapped_type>*>(nullptr),
+            std::size_t{0}, static_cast<batch_result<mapped_type>*>(nullptr));
     };
     if constexpr (batchable) {
-        if (cfg.pipeline_window > 0) {
-            const std::size_t window = cfg.pipeline_window;
+        if (cfg.batch_window > 0) {
+            const std::size_t window = cfg.batch_window;
             rep.ops_per_request = static_cast<double>(window);
-            request_pipeline<Store> pipe(store, cfg.pipeline);
-            rep.run =
-                run_timed(cfg.clients, cfg.millis, [&](int tid, std::atomic<bool>& stop) {
-                    using pipe_type = request_pipeline<Store>;
-                    xorshift64 rng(0xABCD0000ULL +
-                                   static_cast<std::uint64_t>(tid) * 48271);
-                    latency_sampler lat(sink, cfg.sample_shift);
-                    kv_detail::pacer pace(cfg.pace_ops_per_sec, cfg.clients,
-                                          window, tid);
-                    std::vector<typename pipe_type::request> slots(window);
-                    std::uint64_t ops = 0;
-                    while (!stop.load(std::memory_order_relaxed)) {
-                        pace.tick();
-                        {
-                            // The sampled latency is the window HEAD's true
-                            // request latency: submit -> completion, queueing
-                            // and drain included (the guard closes right
-                            // after slot 0's wait).
-                            auto g = lat.measure();
-                            for (std::size_t w = 0; w < window; ++w) {
-                                const std::uint64_t k64 =
-                                    zipf.has_value() ? (*zipf)(rng)
-                                                     : rng.next_below(cfg.key_range);
-                                const auto k = static_cast<key_type>(k64);
-                                const int pick = static_cast<int>(rng.next_below(100));
-                                batch_op_kind kind;
-                                if (pick < mix.find_pct) {
-                                    kind = batch_op_kind::get;
-                                } else if (pick < mix.find_pct + mix.insert_pct) {
-                                    kind = batch_op_kind::insert;
-                                } else {
-                                    kind = batch_op_kind::erase;
-                                }
-                                // No executor wake: this worker completes
-                                // the window itself (inline drain), so
-                                // waking an executor only adds a switch.
-                                pipe.submit(
-                                    slots[w], kind, k,
-                                    static_cast<typename Store::mapped_type>(k),
-                                    /*wake=*/false);
-                            }
-                            pipe.complete(slots[0]);
-                        }
-                        for (std::size_t w = 1; w < window; ++w) pipe.complete(slots[w]);
-                        ops += window;
+            rep.run = run_timed(cfg.clients, cfg.millis, [&](int tid, std::atomic<bool>& stop) {
+                xorshift64 rng(0xABCD0000ULL + static_cast<std::uint64_t>(tid) * 48271);
+                latency_sampler lat(sink, cfg.sample_shift);
+                kv_detail::pacer pace(cfg.pace_ops_per_sec, cfg.clients, window, tid);
+                std::vector<batch_op<key_type, mapped_type>> ops(window);
+                std::vector<batch_result<mapped_type>> out(window);
+                std::uint64_t done = 0;
+                while (!stop.load(std::memory_order_relaxed)) {
+                    pace.tick();
+                    for (auto& op : ops) {
+                        const std::uint64_t k64 = zipf.has_value()
+                                                      ? (*zipf)(rng)
+                                                      : rng.next_below(cfg.key_range);
+                        op.key = static_cast<key_type>(k64);
+                        op.value = static_cast<mapped_type>(op.key);
+                        const int pick = static_cast<int>(rng.next_below(100));
+                        op.kind = pick < mix.find_pct ? batch_op_kind::get
+                                  : pick < mix.find_pct + mix.insert_pct
+                                      ? batch_op_kind::insert
+                                      : batch_op_kind::erase;
                     }
-                    return ops;
-                });
+                    {
+                        // One sample prices the whole call: every op in the
+                        // window completes when apply_batch returns.
+                        auto g = lat.measure();
+                        store.apply_batch(ops.data(), window, out.data());
+                    }
+                    done += window;
+                }
+                return done;
+            });
         } else {
             rep.run = run_timed(cfg.clients, cfg.millis, direct_worker);
         }

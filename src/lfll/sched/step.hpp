@@ -38,8 +38,7 @@ enum class step_kind : std::uint8_t {
     rq_validate,     ///< inside a range query's slot claim / activate / retire
                      ///< windows, where hand-off visibility is decided
     batch_drain,     ///< between sub-ops of a sorted multi-op batch (the
-                     ///< cursor-resume handoff) and around a pipeline
-                     ///< executor's ring drain / completion publish
+                     ///< cursor-resume handoff)
     first_touch,     ///< inside the unreferenced walk's link -> first-touch gap
                      ///< (target incarnation loaded, link not yet re-read)
 };

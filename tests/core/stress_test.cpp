@@ -43,8 +43,12 @@ std::string param_name(const ::testing::TestParamInfo<stress_params>& info) {
     const auto k = std::get<1>(info.param);
     const auto i = std::get<2>(info.param);
     const auto d = std::get<3>(info.param);
-    return "t" + std::to_string(t) + "_k" + std::to_string(k) + "_i" + std::to_string(i) + "_d" +
-           std::to_string(d);
+    // Built by appending: GCC 12 at -O3 raises a false -Wrestrict on
+    // `"literal" + std::string`.
+    std::string name = "t";
+    name += std::to_string(t) + "_k" + std::to_string(k) + "_i" + std::to_string(i) + "_d" +
+            std::to_string(d);
+    return name;
 }
 
 class MapStress : public ::testing::TestWithParam<stress_params> {};

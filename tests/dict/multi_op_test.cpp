@@ -13,7 +13,9 @@
 //   * §5 count audits after batched storms: apply_batch mixes racing
 //     each other on overlapping key ranges must leave the list with
 //     clean reference counts — including on the split-ordered map while
-//     its directory resizes under the batch passes.
+//     its directory resizes under the batch passes;
+//   * sharded batches from concurrent clients: won inserts minus won
+//     erases equals the live count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,17 +98,13 @@ TYPED_TEST(MultiOpTest, ResultsComeBackInInputOrder) {
     quiesce_and_expect_clean_audit(m);
 }
 
-TYPED_TEST(MultiOpTest, MixedBatchMatchesSerialReplay) {
-    // One mixed apply_batch against a serial replay of the same ops on a
-    // std::map oracle: identical outcomes op by op.
-    sorted_list_map<int, int, std::less<int>, TypeParam> m(512);
-    std::map<int, int> oracle;
-    for (int k = 0; k < 16; k += 2) {
-        m.insert(k, 1000 + k);
-        oracle[k] = 1000 + k;
-    }
+/// Applies one mixed batch of 64 ops over keys [0, 24) to `store` and
+/// checks every outcome against a serial replay on `oracle`.
+template <typename Store>
+void expect_batch_matches_replay(Store& store, std::map<int, int>& oracle,
+                                 std::uint64_t seed) {
     std::vector<batch_op<int, int>> ops;
-    xorshift64 rng(0xBEEF);
+    xorshift64 rng(seed);
     for (int i = 0; i < 64; ++i) {
         const int k = static_cast<int>(rng.next_below(24));
         switch (rng.next_below(3)) {
@@ -116,7 +114,7 @@ TYPED_TEST(MultiOpTest, MixedBatchMatchesSerialReplay) {
         }
     }
     std::vector<batch_result<int>> out(ops.size());
-    m.apply_batch(ops.data(), ops.size(), out.data());
+    store.apply_batch(ops.data(), ops.size(), out.data());
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const auto it = oracle.find(ops[i].key);
         switch (ops[i].kind) {
@@ -136,9 +134,30 @@ TYPED_TEST(MultiOpTest, MixedBatchMatchesSerialReplay) {
                 break;
         }
     }
-    EXPECT_EQ(m.size_slow(), oracle.size());
-    for (const auto& [k, v] : oracle) EXPECT_EQ(m.find(k), std::optional<int>(v));
+    EXPECT_EQ(store.size_slow(), oracle.size());
+    for (const auto& [k, v] : oracle) EXPECT_EQ(store.find(k), std::optional<int>(v));
+}
+
+TYPED_TEST(MultiOpTest, MixedBatchMatchesSerialReplay) {
+    // One mixed apply_batch against a serial replay of the same ops on a
+    // std::map oracle: identical outcomes op by op.
+    using map_t = sorted_list_map<int, int, std::less<int>, TypeParam>;
+    map_t m(512);
+    std::map<int, int> oracle;
+    for (int k = 0; k < 16; k += 2) {
+        m.insert(k, 1000 + k);
+        oracle[k] = 1000 + k;
+    }
+    expect_batch_matches_replay(m, oracle, 0xBEEF);
     quiesce_and_expect_clean_audit(m);
+
+    // The same replay through a 4-shard store, batch after batch: the
+    // per-shard runs must scatter back to input order.
+    sharded_kv<map_t> store(4, [](std::size_t) { return std::make_unique<map_t>(256); });
+    std::map<int, int> sharded_oracle;
+    for (std::uint64_t round = 0; round < 8; ++round) {
+        expect_batch_matches_replay(store, sharded_oracle, 0xF00D + round);
+    }
 }
 
 TYPED_TEST(MultiOpTest, MultiGetEquivalenceUnderChurn) {
@@ -308,6 +327,49 @@ TYPED_TEST(MultiOpTest, ShardedBatchScattersAcrossShards) {
     const auto del = store.multi_erase(evens);
     for (std::size_t i = 0; i < del.size(); ++i) EXPECT_TRUE(del[i]) << i;
     EXPECT_EQ(store.size_slow(), 48u);
+}
+
+TYPED_TEST(MultiOpTest, ShardedBatchBalanceMatchesLiveCount) {
+    // Four clients call sharded_kv::apply_batch directly with small
+    // insert/erase windows over a shared key range. Every won insert
+    // adds one live key and every won erase removes one, so at quiescence
+    // the per-client balances must sum to the live count, and each shard
+    // must pass its §5 audit.
+    split_ordered_config cfg;
+    cfg.initial_buckets = 4;
+    cfg.capacity_hint = 1024;
+    auto store = make_sharded_kv<int, int, std::hash<int>, std::less<int>,
+                                 TypeParam>(2, cfg);
+    std::atomic<std::int64_t> balance{0};  // won inserts minus won erases
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 4; ++t) {
+        clients.emplace_back([&store, &balance, t] {
+            xorshift64 rng(0xC11E + t * 7919);
+            const std::size_t window = 1 + static_cast<std::size_t>(t);
+            std::vector<batch_op<int, int>> ops(window);
+            std::vector<batch_result<int>> out(window);
+            std::int64_t local = 0;
+            for (int round = 0; round < 600; ++round) {
+                for (auto& op : ops) {
+                    op.key = static_cast<int>(rng.next_below(96));
+                    op.value = op.key;
+                    op.kind = rng.next_below(2) == 0 ? batch_op_kind::insert
+                                                     : batch_op_kind::erase;
+                }
+                store.apply_batch(ops.data(), window, out.data());
+                for (std::size_t i = 0; i < window; ++i) {
+                    if (out[i].ok) local += ops[i].kind == batch_op_kind::insert ? 1 : -1;
+                }
+            }
+            balance.fetch_add(local);
+        });
+    }
+    for (auto& c : clients) c.join();
+    EXPECT_EQ(static_cast<std::int64_t>(store.size_slow()), balance.load())
+        << "won inserts minus won erases must equal the live count";
+    for (std::size_t s = 0; s < store.shard_count(); ++s) {
+        quiesce_and_expect_clean_so_audit(store.shard_at(s));
+    }
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
-// KV service harness: request-mix presets, per-shard telemetry, and the
-// growth-under-load report the E10 acceptance relies on.
+// KV service harness: request-mix presets, per-shard telemetry, the
+// growth-under-load report the E10 acceptance relies on, and the
+// client-batched mode's logical-op accounting.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <type_traits>
 
+#include "lfll/core/audit.hpp"
 #include "lfll/dict/hash_map.hpp"
 #include "lfll/dict/sharded_kv.hpp"
 #include "lfll/harness/kv_service.hpp"
@@ -103,6 +107,37 @@ TEST(KvService, FixedMapRunsUnderTheSameHarness) {
     EXPECT_GT(rep.run.total_ops, 0u);
     EXPECT_EQ(rep.grows, 0u);
     EXPECT_EQ(rep.buckets_after, 128u);  // 2 shards x 64 fixed buckets
+}
+
+TEST(KvService, BatchWindowCountsLogicalOps) {
+    // Client-batched mode: each client call is one apply_batch over an
+    // 8-op window, and run.total_ops counts the ops, not the calls.
+    split_ordered_config cfg;
+    cfg.initial_buckets = 4;
+    cfg.capacity_hint = 256;
+    auto store = make_sharded_kv<int, int>(2, cfg);
+    kv_service_config sc;
+    sc.clients = 2;
+    sc.millis = lfll_test::scaled_min(80, 40);
+    sc.key_range = 1 << 10;
+    sc.mix = request_mix{"churn", {40, 30, 30}, 0.0};
+    sc.batch_window = 8;
+    const kv_report rep = run_kv_service(store, sc);
+    EXPECT_DOUBLE_EQ(rep.ops_per_request, 8.0);
+    EXPECT_GT(rep.run.total_ops, 0u);
+    EXPECT_EQ(rep.run.total_ops % 8, 0u);
+    EXPECT_EQ(rep.size_after, store.size_slow());
+    EXPECT_GT(rep.latency_ns.n, 0u);
+    for (std::size_t s = 0; s < store.shard_count(); ++s) {
+        auto& m = store.shard_at(s);
+        using map_t = std::remove_reference_t<decltype(m)>;
+        m.list().pool().drain_retired();
+        std::map<const typename map_t::node*, std::size_t> external;
+        m.for_each_bucket_slot(
+            [&](std::size_t, typename map_t::node* d) { external[d] += 1; });
+        const audit_report r = audit_list(m.list(), external);
+        EXPECT_TRUE(r.ok) << "shard " << s << ": " << r.error;
+    }
 }
 
 }  // namespace

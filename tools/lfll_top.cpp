@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <chrono>
@@ -138,39 +139,40 @@ void render_profiler_panel(const snapshot& cur) {
     }
 }
 
-/// Pipeline panel: folds the batched-request metrics (harness/pipeline.hpp)
-/// into one line + a ring-occupancy strip, so a live view answers "is
-/// batching actually coalescing, and which shard ring is backed up".
-void render_pipeline_panel(const snapshot& cur) {
-    const auto get = [&](const std::string& k) -> const double* {
-        const auto it = cur.metrics.find(k);
-        return it == cur.metrics.end() ? nullptr : &it->second;
-    };
-    const double* reqs = get("lfll_pipeline_requests_total");
-    if (reqs == nullptr) return;  // no pipeline in this stream
-    const double* batches = get("lfll_pipeline_batches_total");
-    const double* waits = get("lfll_pipeline_drain_waits_total");
-    const double* inl = get("lfll_pipeline_inline_drains_total");
-    const double* p50 = get("lfll_pipeline_batch_size_p50");
-    const double* p99 = get("lfll_pipeline_batch_size_p99");
-    const double nb = batches != nullptr ? *batches : 0.0;
-    std::printf(
-        "\npipeline: %.0f requests / %.0f batches (avg %.2f, p50 %.0f, p99 "
-        "%.0f), %.0f inline drains, %.0f executor waits\n",
-        *reqs, nb, nb > 0 ? *reqs / nb : 0.0, p50 != nullptr ? *p50 : 0.0,
-        p99 != nullptr ? *p99 : 0.0, inl != nullptr ? *inl : 0.0,
-        waits != nullptr ? *waits : 0.0);
-    bool header = false;
-    for (int s = 0;; ++s) {
-        const double* occ =
-            get("lfll_pipeline_ring_occupancy{shard=\"" + std::to_string(s) +
-                "\"}");
-        if (occ == nullptr) break;
-        if (!header) {
-            std::printf("%6s %10s\n", "shard", "ring_occ");
-            header = true;
+/// Traversal panel: the unreferenced walk's two failure-path counters
+/// (core/list.hpp), one row per policy label, as totals plus the change
+/// since the previous snapshot. Restarts climbing means reclaim races
+/// walks; fallbacks tracking restarts means the restart stopped paying
+/// (docs/telemetry.md, "Traversal failure-path counters").
+void render_traversal_panel(const snapshot& cur, const snapshot* prev) {
+    const std::string restarts = "lfll_traverse_restarts_total";
+    const std::string fallbacks = "lfll_traverse_fallbacks_total";
+    std::set<std::string> labels;  // e.g. {policy="valois_refcount"}
+    for (const auto& entry : cur.metrics) {
+        for (const std::string& name : {restarts, fallbacks}) {
+            if (entry.first.compare(0, name.size(), name) == 0) {
+                labels.insert(entry.first.substr(name.size()));
+            }
         }
-        std::printf("%6d %10.0f\n", s, *occ);
+    }
+    if (labels.empty()) return;  // no walk has failed in this stream
+    const auto value = [](const snapshot& s, const std::string& k) {
+        const auto it = s.metrics.find(k);
+        return it == s.metrics.end() ? 0.0 : it->second;
+    };
+    const auto delta = [&](const std::string& k) {
+        char buf[32] = "-";
+        if (prev != nullptr) {
+            std::snprintf(buf, sizeof buf, "%.0f", value(cur, k) - value(*prev, k));
+        }
+        return std::string(buf);
+    };
+    std::printf("\ntraversal failures:\n%-32s %12s %10s %12s %10s\n", "labels",
+                "restarts", "+tick", "fallbacks", "+tick");
+    for (const std::string& l : labels) {
+        std::printf("%-32s %12.0f %10s %12.0f %10s\n", l.c_str(),
+                    value(cur, restarts + l), delta(restarts + l).c_str(),
+                    value(cur, fallbacks + l), delta(fallbacks + l).c_str());
     }
 }
 
@@ -200,7 +202,7 @@ void render(const snapshot& cur, const snapshot* prev, bool ansi) {
         std::printf("%-64s %16s %12s\n", key.c_str(), val, rate);
     }
     render_profiler_panel(cur);
-    render_pipeline_panel(cur);
+    render_traversal_panel(cur, prev);
     std::fflush(stdout);
 }
 
@@ -228,9 +230,10 @@ int run_selftest() {
         "{\"ts_ms\":1754265600000,\"metrics\":{"
         "\"lfll_runs_total\":3,"
         "\"lfll_retired_backlog{policy=\\\"epoch\\\"}\":128,"
-        "\"lfll_op_latency_ns_p99\":2048.5}}";
+        "\"lfll_op_latency_ns_p99\":2048.5,"
+        "\"lfll_traverse_restarts_total{policy=\\\"valois_refcount\\\"}\":7}}";
     snapshot s;
-    if (!parse_line(sample, s) || s.metrics.size() != 3 ||
+    if (!parse_line(sample, s) || s.metrics.size() != 4 ||
         s.metrics.at("lfll_retired_backlog{policy=\"epoch\"}") != 128) {
         std::fprintf(stderr, "lfll_top: selftest parse failed\n");
         return 1;

@@ -63,7 +63,7 @@ inline void audit_fail(audit_report& r, const std::string& msg) {
 template <typename T, typename Policy, typename Tally>
 void tally_payload_links(const list_node<T, Policy>* n, Tally&& tally) {
     if constexpr (requires(const T& t) { t.counted_links(tally); }) {
-        if (n->kind.load(std::memory_order_acquire) == node_kind::cell) {
+        if (n->is_cell()) {
             n->value().counted_links(tally);
         }
     }
@@ -107,9 +107,9 @@ audit_report audit_shared(
             detail::audit_fail(r, "head dummy shared between lists");
             return r;
         }
-        if (head->kind.load() != node_kind::head)
+        if (head->kind() != node_kind::head)
             detail::audit_fail(r, "First dummy has wrong kind");
-        if (tail->kind.load() != node_kind::tail)
+        if (tail->kind() != node_kind::tail)
             detail::audit_fail(r, "Last dummy has wrong kind");
         if (head->next.load() == nullptr) {
             detail::audit_fail(r, "head has null next");
@@ -130,7 +130,7 @@ audit_report audit_shared(
                 detail::audit_fail(r, "node reachable twice: cycle or cross-link");
                 return r;
             }
-            switch (cur->kind.load(std::memory_order_acquire)) {
+            switch (cur->kind()) {
                 case node_kind::aux:
                     r.aux_nodes++;
                     if (prev_was_aux) r.aux_chains++;

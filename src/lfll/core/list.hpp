@@ -102,6 +102,14 @@
 #define LFLL_NO_TSAN
 #endif
 
+// The same copy may read a payload that on_reclaim already poisoned
+// (node.hpp); the sweep discards those bytes too.
+#if defined(LFLL_ASAN)
+#define LFLL_NO_ASAN __attribute__((no_sanitize("address")))
+#else
+#define LFLL_NO_ASAN
+#endif
+
 namespace lfll {
 
 template <typename T, typename Policy = valois_refcount>
@@ -129,11 +137,10 @@ private:
     void init_dummies() {
         // Fig. 4: an empty list is First -> aux -> Last.
         head_ = pool_->alloc();
-        head_->kind.store(node_kind::head, std::memory_order_relaxed);
+        head_->set_kind(node_kind::head);
         tail_ = pool_->alloc();
-        tail_->kind.store(node_kind::tail, std::memory_order_relaxed);
-        node* aux = pool_->alloc();
-        aux->kind.store(node_kind::aux, std::memory_order_relaxed);
+        tail_->set_kind(node_kind::tail);
+        node* aux = pool_->alloc();  // a pool node comes out as an aux
         // Wire head -> aux -> tail. Link accounting: head_'s and tail_'s
         // root pointers keep the private references alloc() handed us; the
         // head->aux link consumes aux's private reference; the aux->tail
@@ -418,11 +425,7 @@ public:
         return q;
     }
 
-    node* make_aux() {
-        node* a = pool_->alloc();
-        a->kind.store(node_kind::aux, std::memory_order_release);
-        return a;
-    }
+    node* make_aux() { return pool_->alloc(); }
 
     void release_node(node* p) noexcept { pool_->unref(p); }
 
@@ -743,13 +746,14 @@ private:
     /// The elided-aux hop: from a node the caller holds a reference on,
     /// reach the normal cell two links away with ONE protect and no
     /// reference on the intervening aux. Validation sandwich:
-    ///   1. snapshot aux = from->next and its incarnation;
+    ///   1. snapshot aux = from->next and its tag (incarnation and kind
+    ///      in one word: it must read as an aux);
     ///   2. protect n = aux->next (the only RMW);
     ///   3. re-read from->next seq_cst — the location is only written by
     ///      seq_cst CASes, so this read is current, and equality proves
     ///      aux was still linked (hence unreclaimed) when the protect
     ///      landed;
-    ///   4. re-check the incarnation — catches the ABA where aux was
+    ///   4. re-check the tag — catches the ABA where aux was
     ///      recycled and re-linked at the same spot (the re-link
     ///      happens-after the incarnation bump through the free-list
     ///      pop chain, so seeing the re-link at (3) forces (4) to see
@@ -761,12 +765,13 @@ private:
     /// next cell and writes the validated aux to `aux_hint`.
     node* hop_over_aux(node* from, node*& aux_hint) {
         node* aux = from->next.load(std::memory_order_acquire);
-        if (aux == nullptr || !aux->is_aux()) return nullptr;
+        if (aux == nullptr) return nullptr;
+        const std::uint64_t tag = aux->tag.load(std::memory_order_acquire);
+        if (kind_of(tag) != node_kind::aux) return nullptr;
         testing_hooks::chaos_point(sched::step_kind::ref_transfer);
-        const std::uint64_t inc = aux->incarnation.load(std::memory_order_acquire);
         node* n = pool_->protect(aux->next);
         if (from->next.load(std::memory_order_seq_cst) != aux ||
-            aux->incarnation.load(std::memory_order_acquire) != inc ||
+            aux->tag.load(std::memory_order_acquire) != tag ||
             n == nullptr || !n->is_normal()) {
             pool_->drop(n);
             return nullptr;
@@ -807,7 +812,7 @@ private:
     static constexpr int kOptimisticTries = 2;
 
     /// One segment of the unreferenced walk: every node read through
-    /// without a reference (with its incarnation at first touch) plus raw
+    /// without a reference (with its tag at first touch) plus raw
     /// payload snapshots of the cells crossed. Nothing here is surfaced
     /// until the whole set validates.
     struct batch_snapshot {
@@ -817,7 +822,7 @@ private:
         static constexpr int kRecords = 2 * kScanBatch + 4;
 
         const node* src[kRecords];
-        std::uint64_t inc[kRecords];
+        std::uint64_t tag[kRecords];
         int nsrc = 0;
         /// Record index of the last cell crossed since the walk began
         /// (the landing's pre_cell); -1 while the walk has crossed none.
@@ -834,9 +839,9 @@ private:
         /// validated copy and stamps sit at index `cells`; false at Last.
         bool stop_cell = false;
 
-        void record(const node* n, std::uint64_t i) noexcept {
+        void record(const node* n, std::uint64_t t) noexcept {
             src[nsrc] = n;
-            inc[nsrc] = i;
+            tag[nsrc] = t;
             ++nsrc;
         }
 
@@ -844,13 +849,14 @@ private:
             return *std::launder(reinterpret_cast<const T*>(vals[i]));
         }
 
-        /// The incarnation sweep: true iff no recorded node was reclaimed
-        /// since first touch. The acquire fence orders every read the
-        /// walk made before the incarnation reloads (seqlock reader).
+        /// The incarnation sweep: true iff no recorded node's tag moved
+        /// since first touch — no reclaim, and no kind change either. The
+        /// acquire fence orders every read the walk made before the tag
+        /// reloads (seqlock reader).
         bool unchanged() const noexcept {
             std::atomic_thread_fence(std::memory_order_acquire);
             for (int i = 0; i < nsrc; ++i) {
-                if (src[i]->incarnation.load(std::memory_order_relaxed) != inc[i]) return false;
+                if (src[i]->tag.load(std::memory_order_relaxed) != tag[i]) return false;
             }
             return true;
         }
@@ -863,13 +869,13 @@ private:
             int k = 0;
             if (pre >= 0) {
                 src[0] = src[pre];
-                inc[0] = inc[pre];
+                tag[0] = tag[pre];
                 pre = 0;
                 k = 1;
             }
             if (nsrc > k) {
                 src[k] = src[nsrc - 1];
-                inc[k] = inc[nsrc - 1];
+                tag[k] = tag[nsrc - 1];
                 ++k;
             }
             nsrc = k;
@@ -891,20 +897,30 @@ private:
     /// re-checks the incarnation before the walk predicate sees the copy
     /// and the sweep re-checks it again before anything is surfaced, so
     /// a torn copy is never observed.
-    LFLL_NO_TSAN static void racy_value_copy(unsigned char* dst, const node* src) noexcept {
+    LFLL_NO_TSAN LFLL_NO_ASAN static void racy_value_copy(unsigned char* dst,
+                                                          const node* src) noexcept {
+#if defined(LFLL_ASAN)
+        // Byte loads through volatile: a memcpy the compiler emitted for
+        // the copy would go through ASan's interceptor, which checks the
+        // poison this function is exempt from.
+        const volatile unsigned char* from = src->storage;
+        for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = from[i];
+#else
         ::new (static_cast<void*>(dst)) T(*reinterpret_cast<const T*>(src->storage));
+#endif
     }
 
-    /// First touch of `n`, just read from x's link: load its incarnation,
-    /// then re-read the link. Closes the link -> first-touch gap: without
-    /// the re-read, `n` could be unlinked, reclaimed and re-linked
-    /// elsewhere between the two loads, and the walk would carry on from
-    /// its new position under an incarnation that validates. With it,
-    /// `n` held `inc` while x still linked it, so once x's own
-    /// incarnation is swept the edge x -> n was real. False when the link
-    /// moved: the caller ends its segment at x, as hop_over_aux does.
-    bool first_touch(node* x, node* n, std::uint64_t& inc) {
-        inc = n->incarnation.load(std::memory_order_acquire);
+    /// First touch of `n`, just read from x's link: load its tag, then
+    /// re-read the link. Closes the link -> first-touch gap: without the
+    /// re-read, `n` could be unlinked, reclaimed and re-linked elsewhere
+    /// between the two loads, and the walk would carry on from its new
+    /// position under a tag that validates. With it, `n` held `tag`
+    /// while x still linked it, so once x's own tag is swept the edge
+    /// x -> n was real. The caller takes n's kind from `tag` and never
+    /// reloads it. False when the link moved: the caller ends its
+    /// segment at x, as hop_over_aux does.
+    bool first_touch(node* x, node* n, std::uint64_t& tag) {
+        tag = n->tag.load(std::memory_order_acquire);
         testing_hooks::chaos_point(sched::step_kind::first_touch);
         return x->next.load(std::memory_order_acquire) == n;
     }
@@ -917,19 +933,20 @@ private:
     /// stop, the aux whose link reaches the stop cell. Soundness comes
     /// from the sweep the caller runs afterwards:
     ///
-    ///   * Every node read through is recorded with its incarnation at
-    ///     first touch. An unchanged incarnation at the sweep proves the
-    ///     node was not reclaimed across the window, hence (a) every
+    ///   * Every node read through is recorded with its tag at first
+    ///     touch, and its kind is taken from that word. An unchanged tag
+    ///     at the sweep proves the node was not reclaimed (nor turned
+    ///     into another kind) across the window, hence (a) every
     ///     read of its fields was a read of unreclaimed memory, and (b)
     ///     its outgoing link still held the link's counted reference at
     ///     the instant that link was read (links are released only inside
     ///     reclaim — node.hpp drop_links), so the successor was alive at
-    ///     that instant. first_touch pins that successor's incarnation to
-    ///     the same instant. Induction carries liveness from the anchor
+    ///     that instant. first_touch pins that successor's tag to the
+    ///     same instant. Induction carries liveness from the anchor
     ///     down the chain.
-    ///   * Payload bytes are copied inside each cell's incarnation window
-    ///     (seqlock reader: incarnation load, copy, acquire fence,
-    ///     reload), and `walk` only runs on a copy whose reload matched,
+    ///   * Payload bytes are copied inside each cell's tag window
+    ///     (seqlock reader: tag load, copy, acquire fence, reload),
+    ///     and `walk` only runs on a copy whose reload matched,
     ///     so it never sees torn bytes. The stop cell's copy (and
     ///     stamps) stays at s.vals[s.cells].
     ///   * Aux chains are crossed (recorded, counted in s.chain). A cell
@@ -948,16 +965,18 @@ private:
             if (n == nullptr) return seg_end::fail;
             std::uint64_t in;
             if (!first_touch(x, n, in)) return seg_end::cut;
-            // Kind checks after first touch: a cell seen under `in` (an
-            // acquire that orders after the reclaim that produced it) has
-            // its payload fully constructed for that incarnation.
-            if (n->is_aux()) {  // a cell's aux, or the next of an aux chain
-                if (x->is_aux()) s.chain++;
+            // The kind comes from the first-touch word: a cell seen under
+            // `in` (an acquire that orders after the construct_cell that
+            // set its kind) has its payload fully constructed for that
+            // incarnation.
+            const node_kind k = kind_of(in);
+            if (k == node_kind::aux) {  // a cell's aux, or the next of an aux chain
+                if (x->is_aux()) s.chain++;  // telemetry only
                 s.record(n, in);
                 x = n;
                 continue;
             }
-            if (!n->is_cell()) {
+            if (k != node_kind::cell) {
                 s.stop_cell = false;  // Last
                 return seg_end::stop;
             }
@@ -975,7 +994,7 @@ private:
             s.born[s.cells] = n->born_ts.load(std::memory_order_acquire);
             s.dead[s.cells] = n->dead_ts.load(std::memory_order_acquire);
             std::atomic_thread_fence(std::memory_order_acquire);
-            if (n->incarnation.load(std::memory_order_relaxed) != in) return seg_end::cut;
+            if (n->tag.load(std::memory_order_relaxed) != in) return seg_end::cut;
             if (!walk(s.value(s.cells))) {
                 s.stop_cell = true;
                 return seg_end::stop;
@@ -984,7 +1003,9 @@ private:
             // somewhere else cuts the segment before n instead.
             node* a = n->next.load(std::memory_order_acquire);
             std::uint64_t ia;
-            if (a == nullptr || !first_touch(n, a, ia) || !a->is_aux()) return seg_end::cut;
+            if (a == nullptr || !first_touch(n, a, ia) || kind_of(ia) != node_kind::aux) {
+                return seg_end::cut;
+            }
             s.record(n, in);
             s.pre = s.nsrc - 1;
             s.record(a, ia);

@@ -230,7 +230,10 @@ public:
     /// Executes `n` independent ops as a split-order-sorted cursor pass,
     /// binned into bucket runs: ops are stable-sorted by (split-order
     /// key, key), the cursor re-anchors at a bucket's dummy when the run
-    /// changes and RESUMES within a run. The bucket binning samples the
+    /// changes and RESUMES within a run. A get takes no part in the
+    /// cursor pass: it is find's read-only lookup from its bucket's
+    /// dummy, and leaves the cursor where it stands for the next insert
+    /// or erase (which anchors lazily). The bucket binning samples the
     /// mask once — purely a perf heuristic: all entries live in the one
     /// so-sorted list, so a concurrent resize only costs an extra
     /// re-anchor, never correctness. Results land at each op's original
@@ -257,6 +260,7 @@ public:
         const std::size_t m = mask();
         cursor c;
         std::size_t run_bucket = ~std::size_t{0};
+        bool stale = true;  // the cursor must anchor before its next use
         const Key* prev_key = nullptr;
         for (std::uint32_t idx : order) {
             const batch_op<Key, Value>& op = ops[idx];
@@ -269,33 +273,28 @@ public:
                                 !cmp_(op.key, *prev_key);
             prev_key = &op.key;
             if (b != run_bucket || repeat) {
-                anchor(hs[idx], c);  // jump to the bucket's dummy
                 run_bucket = b;
+                stale = true;
             }
-            switch (op.kind) {
-                case batch_op_kind::get: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
-                                                      telemetry::key_hash(op.key));
-                    if (find_from_so(sos[idx], op.key, c)) {
-                        out[idx].ok = true;
-                        out[idx].value.emplace((*c).value);
-                    } else {
-                        out[idx].ok = false;
-                    }
-                    break;
-                }
-                case batch_op_kind::insert: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
-                                                      telemetry::key_hash(op.key));
-                    out[idx].ok = insert_at_so(c, sos[idx], op.key, op.value);
-                    break;
-                }
-                case batch_op_kind::erase: {
-                    telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
-                                                      telemetry::key_hash(op.key));
-                    out[idx].ok = erase_at_so(c, sos[idx], op.key);
-                    break;
-                }
+            if (op.kind == batch_op_kind::get) {
+                telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
+                                                  telemetry::key_hash(op.key));
+                out[idx].value = lookup_so(hs[idx], sos[idx], op.key);
+                out[idx].ok = out[idx].value.has_value();
+                continue;
+            }
+            if (stale) {
+                anchor(hs[idx], c);  // jump to the bucket's dummy
+                stale = false;
+            }
+            if (op.kind == batch_op_kind::insert) {
+                telemetry::prof::op_scope prof_op(telemetry::trace_op::insert,
+                                                  telemetry::key_hash(op.key));
+                out[idx].ok = insert_at_so(c, sos[idx], op.key, op.value);
+            } else {
+                telemetry::prof::op_scope prof_op(telemetry::trace_op::erase,
+                                                  telemetry::key_hash(op.key));
+                out[idx].ok = erase_at_so(c, sos[idx], op.key);
             }
         }
     }
@@ -324,18 +323,7 @@ public:
         telemetry::prof::op_scope prof_op(telemetry::trace_op::find,
                                           telemetry::key_hash(key));
         const std::uint64_t h = hash_of(key);
-        const std::uint64_t so = so_detail::so_regular(h);
-        // Sorts before (so, key): smaller so, or a colliding hash with a
-        // smaller key.
-        const auto stop = list_.lookup_from(bucket_node(h & mask()), [&](const entry& e) {
-            return e.so < so || (e.so == so && cmp_(e.key, key));
-        });
-        // Past it, or the cluster order's live-first rule: absent.
-        if (!stop || stop->value.so != so || cmp_(key, stop->value.key) ||
-            stop->dead_ts != rq::kInfTs) {
-            return std::nullopt;
-        }
-        return stop->value.value;
+        return lookup_so(h, so_detail::so_regular(h), key);
     }
 
     bool contains(const Key& key) { return find(key).has_value(); }
@@ -557,6 +545,22 @@ private:
 
     /// Positions c on the first entry of `h`'s bucket (or later).
     void anchor(std::uint64_t h, cursor& c) { list_.seek(c, bucket_node(h & mask())); }
+
+    /// find's body: the read-only lookup of (so, key) from the dummy of
+    /// hash h's bucket.
+    std::optional<Value> lookup_so(std::uint64_t h, std::uint64_t so, const Key& key) {
+        // Sorts before (so, key): smaller so, or a colliding hash with a
+        // smaller key.
+        const auto stop = list_.lookup_from(bucket_node(h & mask()), [&](const entry& e) {
+            return e.so < so || (e.so == so && cmp_(e.key, key));
+        });
+        // Past it, or the cluster order's live-first rule: absent.
+        if (!stop || stop->value.so != so || cmp_(key, stop->value.key) ||
+            stop->dead_ts != rq::kInfTs) {
+            return std::nullopt;
+        }
+        return stop->value.value;
+    }
 
     /// find_from in split order: scan forward for (so, key). Returns true
     /// with c on the live match, else false with c on the first entry

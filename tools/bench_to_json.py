@@ -21,10 +21,24 @@ time/cpu in nanoseconds, iteration counts, and any UserCounters
 
     { LFLL_BENCH_CSV=1 ./bench_e1_vs_locks; ./bench_e7_saferead; } \\
         | bench_to_json.py bench_traverse > BENCH_traverse.json
+
+Every document carries a "provenance" object: nproc, CPU model, compiler
+and build type (read from the CMake build tree given by --build-dir,
+default build/ at the repository root), the git SHA (with "-dirty" when
+the work tree has changes) and the LFLL_* variables in this script's own
+environment. A variable set only on the bench's side of the pipe
+(`LFLL_BENCH_MS=400 ./bench | bench_to_json.py ...`) is not seen here;
+export it to have it recorded. Fields that cannot be read are null.
 """
+import argparse
+import glob
 import json
+import os
 import re
+import subprocess
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SI = {"k": 1e3, "M": 1e6, "G": 1e9}
 NUM_RE = re.compile(r"^(-?\d+(?:\.\d+)?)([kMG]?|%)$")
@@ -101,9 +115,78 @@ def parse(stream):
     return tables
 
 
+def cmake_cache(build_dir):
+    out = {}
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                m = re.match(r"^(CMAKE_BUILD_TYPE|CMAKE_CXX_COMPILER|CMAKE_CXX_FLAGS):\w+=(.*)$",
+                             line.rstrip("\n"))
+                if m:
+                    out[m.group(1)] = m.group(2)
+    except OSError:
+        pass
+    return out
+
+
+def compiler(build_dir, cache):
+    """"<id> <version>" from the build tree's compiler probe, else the
+    compiler path from the cache."""
+    for path in glob.glob(os.path.join(build_dir, "CMakeFiles", "*", "CMakeCXXCompiler.cmake")):
+        with open(path) as f:
+            text = f.read()
+        cid = re.search(r'set\(CMAKE_CXX_COMPILER_ID "([^"]*)"\)', text)
+        ver = re.search(r'set\(CMAKE_CXX_COMPILER_VERSION "([^"]*)"\)', text)
+        if cid and ver:
+            return "%s %s" % (cid.group(1), ver.group(1))
+    return cache.get("CMAKE_CXX_COMPILER")
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def git_sha():
+    def git(*args):
+        return subprocess.run(["git", "-C", ROOT] + list(args), capture_output=True,
+                              text=True, check=True).stdout.strip()
+    try:
+        sha = git("rev-parse", "HEAD")
+        return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def provenance(build_dir):
+    cache = cmake_cache(build_dir)
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": cpu_model(),
+        "compiler": compiler(build_dir, cache),
+        # CMakeLists.txt builds an empty CMAKE_BUILD_TYPE as RelWithDebInfo.
+        "build_type": cache["CMAKE_BUILD_TYPE"] or "RelWithDebInfo"
+        if "CMAKE_BUILD_TYPE" in cache else None,
+        "cxx_flags": cache.get("CMAKE_CXX_FLAGS"),
+        "git_sha": git_sha(),
+        "lfll_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("LFLL_")},
+    }
+
+
 def main():
-    name = sys.argv[1] if len(sys.argv) > 1 else "bench"
-    doc = {"bench": name, "tables": parse(sys.stdin)}
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("name", nargs="?", default="bench")
+    ap.add_argument("--build-dir", default=os.path.join(ROOT, "build"),
+                    help="CMake build tree the bench was built in (for compiler/build type)")
+    args = ap.parse_args()
+    doc = {"bench": args.name, "provenance": provenance(args.build_dir),
+           "tables": parse(sys.stdin)}
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
     if not doc["tables"] or not any(t["rows"] for t in doc["tables"]):
